@@ -5,7 +5,9 @@
 Run it from the root of a checkout; it imports the package from
 ``src/``.  ``--trace 0`` prints the end-to-end metrics of untraced
 passes, ``--trace 1`` the per-layer metrics of a run whose first third
-is untraced and the rest traced through ``spans.SpanRecorder``.  Every
+is untraced and the rest traced through ``spans.SpanRecorder``.  Each
+pass starts with torlie's per-run caches emptied (``clear_run_caches``),
+and set-up is timed in fresh interpreters spread over the run.  Every
 metric is printed as a table line with its unit, then the last line of
 standard output is one JSON object:
 
@@ -18,6 +20,7 @@ package or the arguments are missing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -37,7 +40,12 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
 
-SETUP_SAMPLES = 5
+# set-up probes per run, spread over its seconds; each takes about 0.2 s
+SETUP_SAMPLES = 20
+# lru caches (by function name, so re-imports count too) that hold what
+# set-up builds once per algebra; they are timed by setup_s, so
+# clear_run_caches keeps them
+SETUP_CACHES = {"get_algebra", "build_cartan", "enumerate_roots"}
 UNTRACED_SHARE = 1 / 3  # of a traced run's seconds, for the overhead ratio
 
 END_TO_END = {
@@ -87,39 +95,27 @@ def import_package():
 
 
 # ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-def percentile(values, q: float) -> float:
-    """Nearest-rank percentile, q in (0, 1]."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-len(ordered) * q // 1))
-    return ordered[int(rank) - 1]
-
-
-# ---------------------------------------------------------------------------
 # set-up, timed in fresh interpreters
 # ---------------------------------------------------------------------------
 
-def measure_setup(specs) -> dict:
-    """Medians over SETUP_SAMPLES fresh processes of the set-up split."""
-    args = [f"{s.family},{s.n},{s.r}" for s in specs]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    samples = []
-    for _ in range(SETUP_SAMPLES):
-        proc = subprocess.run(
-            [sys.executable, str(BENCH_DIR / "setup_probe.py"), *args],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"setup probe failed:\n{proc.stderr}")
-        sample = json.loads(proc.stdout.strip().splitlines()[-1])
-        if Path(sample.pop("torlie_file")).resolve().parent != (SRC / "torlie").resolve():
-            raise RuntimeError("setup probe imported torlie from outside src/")
-        sample["setup_s"] = sum(sample.values())
-        samples.append(sample)
+def probe_setup(specs) -> dict:
+    """One fresh interpreter's set-up split, with its sum as setup_s."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "setup_probe.py"),
+         *(f"{s.family},{s.n},{s.r}" for s in specs)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"setup probe failed:\n{proc.stderr}")
+    sample = json.loads(proc.stdout.strip().splitlines()[-1])
+    if Path(sample.pop("torlie_file")).resolve().parent != (SRC / "torlie").resolve():
+        raise RuntimeError("setup probe imported torlie from outside src/")
+    sample["setup_s"] = sum(sample.values())
+    return sample
+
+
+def median_setup(samples) -> dict:
     return {key: statistics.median(s[key] for s in samples) for key in samples[0]}
 
 
@@ -162,40 +158,67 @@ def scalar_microtimings(order: int, fractional: bool, repeats: int = 5) -> dict:
 # the closed loop of passes
 # ---------------------------------------------------------------------------
 
-class Tally:
-    def __init__(self):
-        self.attempted = 0
-        self.failed = 0
+def clear_run_caches() -> list:
+    """Empty every functools cache in torlie but the SETUP_CACHES.
+
+    Called before each pass, so that a pass pays the cache misses a
+    fresh ``torlie verify`` pays instead of reusing what an earlier pass
+    filled.  Only caches with ``cache_clear`` are reached: a new cache
+    must be an ``lru_cache``/``cache`` (or be listed as set-up here) for
+    the benchmark to stay honest.  Returns the qualified names cleared.
+    """
+    cleared = []
+    for modname, mod in list(sys.modules.items()):
+        if modname != "torlie" and not modname.startswith("torlie."):
+            continue
+        owners = [mod, *(v for v in vars(mod).values()
+                         if isinstance(v, type) and v.__module__ == modname)]
+        for owner in owners:
+            for attr, value in vars(owner).items():
+                if (hasattr(value, "cache_clear")
+                        and value.__name__ not in SETUP_CACHES):
+                    value.cache_clear()
+                    cleared.append(f"{modname}.{attr}")
+    return cleared
 
 
-def run_passes(workload, seconds: float, tally: Tally, recorder_cls=None) -> list:
+def run_passes(workload, seconds: float, setup: list, probe_every: float,
+               traced: bool = False) -> list:
     """Passes until the next would end past `seconds`; at least one.
 
-    Returns one record per pass: wall seconds, cases delivered, and the
-    span recorder when tracing.  Pass k reads input k of the workload,
-    so a traced phase sees the same inputs as an untraced one.
+    Before each pass, set-up probes are appended to `setup` until this
+    call has taken one per `probe_every` seconds of passes so far, plus
+    one: the probes then sample the same stretch of the host's speed as
+    the passes.  Counting pass time only keeps a probe from making more
+    probes due, however short `probe_every` is.
+
+    Returns one record per pass: wall seconds, cases delivered, checks
+    attempted and failed, and the span recorder when tracing.  Pass k
+    reads input k of the workload, so a traced phase sees the same
+    inputs as an untraced one.
     """
     clock = time.perf_counter
     records = []
     begin = clock()
+    probes = 0
+    busy = 0.0
     k = 0
     while True:
+        while probes <= busy / probe_every:
+            setup.append(probe_setup(workload.specs))
+            probes += 1
+        clear_run_caches()
         gc.collect()
-        recorder = recorder_cls() if recorder_cls else None
-        if recorder:
-            recorder.install()
-        t0 = clock()
-        try:
+        recorder = SpanRecorder() if traced else None
+        with recorder or contextlib.nullcontext():
+            t0 = clock()
             output = workload.run_pass(k)
-        finally:
             t1 = clock()
-            if recorder:
-                recorder.restore()
+        busy += t1 - t0
         attempted, failed = workload.check(output)
-        tally.attempted += attempted
-        tally.failed += failed
         records.append({"wall_s": t1 - t0, "origin": t0,
-                        "cases": workload.cases(output), "spans": recorder})
+                        "cases": workload.cases(output), "spans": recorder,
+                        "attempted": attempted, "failed": failed})
         k += 1
         median = statistics.median(r["wall_s"] for r in records)
         if clock() - begin + median > seconds:
@@ -222,13 +245,13 @@ def per_layer_metrics(untraced, traced, setup, micro) -> dict:
         metrics[f"{name}.calls"] = first[name]["calls"]
         metrics[f"{name}.self_s"] = statistics.median(s[name]["self_s"] for s in summaries)
     psi_calls = first["presentation.psi_image"]["calls"]
-    distinct = len(recorder.distinct["presentation.psi_image"])
+    distinct = len(recorder.distinct)
     metrics["presentation.psi_image.distinct_ratio"] = distinct / psi_calls if psi_calls else 0.0
-    cases = first["presentation.relation_sides"]["durations"]
-    metrics["presentation.case_p50_ms"] = percentile(cases, 0.50) * 1e3
-    metrics["presentation.case_p99_ms"] = percentile(cases, 0.99) * 1e3
+    cases = sorted(first["presentation.relation_sides"]["durations"]) or [0.0]
+    metrics["presentation.case_p50_ms"] = statistics.median(cases) * 1e3
+    metrics["presentation.case_p99_ms"] = cases[int(0.99 * (len(cases) - 1))] * 1e3
     adds = first["liealg.echelon_add"]["calls"]
-    accepted = recorder.accepted["liealg.echelon_add"]
+    accepted = recorder.accepted
     metrics["liealg.echelon_add.accept_ratio"] = accepted / adds if adds else 0.0
     metrics.update(micro)
     for key in ("rootdata.build_cartan_s", "liealg.get_algebra_s", "cli.import_s"):
@@ -270,34 +293,37 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     for spec in workload.specs:
         get_algebra(spec)
     workload.prepare(seed)
-    setup = measure_setup(workload.specs)
-    tally = Tally()
+    setup = []
+    probe_every = seconds / SETUP_SAMPLES
     notes = []
     if not workload.uses_seed:
         notes.append(f"seed {seed} ignored: {workload_name} has fixed inputs")
     if not trace:
-        records = run_passes(workload, seconds, tally)
-        metrics = end_to_end_metrics(records, setup)
+        records = run_passes(workload, seconds, setup, probe_every)
+        metrics = end_to_end_metrics(records, median_setup(setup))
         units = END_TO_END
     else:
         micro = scalar_microtimings(workload.scalar_order, workload.fractional)
-        untraced = run_passes(workload, seconds * UNTRACED_SHARE, tally)
-        traced = run_passes(workload, seconds * (1 - UNTRACED_SHARE), tally,
-                            recorder_cls=SpanRecorder)
-        metrics = per_layer_metrics(untraced, traced, setup, micro)
+        untraced = run_passes(workload, seconds * UNTRACED_SHARE, setup, probe_every)
+        traced = run_passes(workload, seconds * (1 - UNTRACED_SHARE), setup,
+                            probe_every, traced=True)
+        metrics = per_layer_metrics(untraced, traced, median_setup(setup), micro)
         units = PER_LAYER
         if spans_path is not None:
             write_spans(spans_path, traced[0])
             notes.append(f"spans written to {spans_path.relative_to(ROOT)}")
         records = untraced + traced
-    notes.append(f"{len(records)} passes, {tally.attempted} checks")
+    attempted = sum(r["attempted"] for r in records)
+    failed = sum(r["failed"] for r in records)
+    notes.append(f"{len(records)} passes, {attempted} checks, "
+                 f"{len(setup)} set-up probes")
     return {
         "notes": notes,
-        "failed_frac": tally.failed / tally.attempted,
+        "failed_frac": failed / attempted,
         "result": {
-            "correct": tally.failed == 0 and tally.attempted > 0,
-            "attempted": tally.attempted,
-            "failed": tally.failed,
+            "correct": failed == 0 and attempted > 0,
+            "attempted": attempted,
+            "failed": failed,
             "metrics": {name: {"value": metrics[name], "unit": unit}
                         for name, unit in units.items()},
         },

@@ -6,8 +6,9 @@ Runs every workload at its smallest size (window 1, one triple per
 algebra) in both modes and checks that each named metric is printed
 with its unit, that a seed reproduces its triples, that an altered
 reference or a broken law is counted as a failed check, that the span
-recorder restores every name it rebinds, and that the benchmark refuses
-to run without the package.
+recorder restores every name it rebinds, that each pass starts with the
+per-run caches empty, and that the benchmark refuses to run without the
+package.
 """
 
 import copy
@@ -139,6 +140,18 @@ class BenchmarkSelfTest(unittest.TestCase):
         self.assertEqual(before.keys(), after.keys())
         for key, value in before.items():
             self.assertIs(after[key], value, key)
+
+    def test_passes_start_with_per_run_caches_empty(self):
+        from torlie import liealg, presentation, rootdata
+        from workloads import A5
+
+        presentation.verify_all(A5, 1, 2)
+        self.assertGreater(presentation.serre_matrix.cache_info().currsize, 0)
+        cleared = run.clear_run_caches()
+        self.assertIn("torlie.presentation.serre_matrix", cleared)
+        self.assertEqual(presentation.serre_matrix.cache_info().currsize, 0)
+        for kept in (liealg.get_algebra, rootdata.build_cartan, rootdata.enumerate_roots):
+            self.assertGreater(kept.cache_info().currsize, 0, kept)
 
     def test_refuses_to_run_without_the_package(self):
         run.OUT_DIR.mkdir(exist_ok=True)

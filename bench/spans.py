@@ -42,12 +42,11 @@ TARGETS = (
     ("coeff.omega_pow", "torlie.coeff", "omega_pow"),
 )
 
-# spans whose distinct argument tuples are counted
-KEYED = {"presentation.psi_image"}
-# spans whose truthy results are counted (an accepted echelon row)
-ACCEPTING = {"liealg.echelon_add"}
-# spans whose individual durations are kept for percentiles
-TIMED = {"presentation.relation_sides"}
+# distinct argument tuples are counted for KEYED, truthy results (an
+# accepted echelon row) for ACCEPTING, and single durations kept for TIMED
+KEYED = "presentation.psi_image"
+ACCEPTING = "liealg.echelon_add"
+TIMED = "presentation.relation_sides"
 
 
 class SpanRecorder:
@@ -60,8 +59,8 @@ class SpanRecorder:
         self.start = array("d")
         self.end = array("d")
         self._stack = [-1]
-        self.distinct = {name: set() for name in KEYED}
-        self.accepted = {name: 0 for name in ACCEPTING}
+        self.distinct = set()   # argument tuples of KEYED calls
+        self.accepted = 0       # truthy results of ACCEPTING calls
         self._saved = []
 
     # -- installing and removing the wrappers -------------------------
@@ -71,9 +70,8 @@ class SpanRecorder:
         name_id, parent, start, end = self.name_id, self.parent, self.start, self.end
         stack = self._stack
         clock = time.perf_counter
-        seen = self.distinct.get(name)
-        accepted = self.accepted
-        counts_accepts = name in ACCEPTING
+        seen = self.distinct if name == KEYED else None
+        counts_accepts = name == ACCEPTING
 
         def span(*args, **kwargs):
             idx = len(name_id)
@@ -92,7 +90,7 @@ class SpanRecorder:
             if seen is not None:
                 seen.add(args)
             if counts_accepts and result:
-                accepted[name] += 1
+                self.accepted += 1
             return result
 
         return functools.update_wrapper(span, fn)
@@ -141,8 +139,8 @@ class SpanRecorder:
     # -- reading the spans back ---------------------------------------
 
     def summary(self) -> dict:
-        """Per target: calls, total and self seconds, and for TIMED
-        targets the duration of every span.
+        """Per target: calls and self seconds, and for TIMED the
+        duration of every span.
 
         Also returns under the key None the seconds covered by root
         spans, i.e. the sum of every span's self-time.
@@ -155,19 +153,18 @@ class SpanRecorder:
             if p >= 0:
                 child[p] += end[i] - start[i]
         out = {
-            name: {"calls": 0, "total_s": 0.0, "self_s": 0.0, "durations": []}
+            name: {"calls": 0, "self_s": 0.0, "durations": []}
             for name in self.names
         }
-        keep = [name in TIMED for name in self.names]
+        timed = self.names.index(TIMED)
         covered = 0.0
         for i in range(n):
             nid = name_id[i]
             rec = out[self.names[nid]]
             dur = end[i] - start[i]
             rec["calls"] += 1
-            rec["total_s"] += dur
             rec["self_s"] += dur - child[i]
-            if keep[nid]:
+            if nid == timed:
                 rec["durations"].append(dur)
             if parent[i] < 0:
                 covered += dur
