@@ -5,10 +5,7 @@ from .kahler import Bs, Bt, C0, KahlerElem, KSym, kadd, kscale, reduce_b_da
 from .liealg import (
     LieAlgebra,
     LieElem,
-    bracket,
     get_algebra,
-    grade_component,
-    inv_form,
     sigma_apply,
 )
 from .presentation import (
@@ -48,9 +45,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraSpec", "Bs", "Bt", "C0", "ConfigError", "CycNum", "GenSym",
     "KSym", "KahlerElem", "LieAlgebra", "LieElem", "LoopElem", "Rational",
-    "RelationId", "RelationReport", "ToroidalElem", "bracket", "build_cartan",
+    "RelationId", "RelationReport", "ToroidalElem", "build_cartan",
     "enumerate_cases", "enumerate_roots", "fix_project", "folded_simple_roots",
-    "get_algebra", "grade_component", "highest_root", "inv_form", "kadd",
+    "get_algebra", "highest_root", "kadd",
     "kscale", "loop_bracket", "omega_pow", "pibar_image", "proof_cases",
     "psi_image", "reduce_b_da", "relation_sides", "root_form", "sigma_apply",
     "sigma_bar", "sigma_root", "span_check", "toroidal_bracket", "verify_all",

@@ -34,17 +34,19 @@ from .rootdata import AlgebraSpec, ConfigError, build_cartan, enumerate_roots
 class RunConfig:
     """Validated run parameters shared by all subcommands."""
 
-    command: str
     family: str
     n: int
     r: int
     window: int = 4
     serre_cap: int = 2
     format: str = "text"
+    jobs: int = 1
 
     def __post_init__(self):
         if self.window < 1 or self.serre_cap < 1:
             raise ConfigError("window and serre cap must be positive")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be positive")
 
     def spec(self) -> AlgebraSpec:
         return AlgebraSpec(self.family, self.n, self.r)
@@ -137,9 +139,9 @@ def _matrix_rows(mat):
     return [list(row) for row in mat]
 
 
-def cmd_verify(config: RunConfig, jobs: int, out) -> int:
+def cmd_verify(config: RunConfig, out) -> int:
     summary = verify_all(config.spec(), config.window, config.serre_cap,
-                         jobs=jobs)
+                         jobs=config.jobs)
     if config.format == "json":
         json.dump(summary.to_json_dict(), out, indent=2)
         out.write("\n")
@@ -223,17 +225,17 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         config = RunConfig(
-            command=args.command,
             family=args.family,
             n=args.n,
             r=args.r,
             window=getattr(args, "window", 4),
             serre_cap=getattr(args, "serre_cap", 2),
             format=getattr(args, "format", "text"),
+            jobs=getattr(args, "jobs", 1),
         )
         spec = config.spec()
         if args.command == "verify":
-            return cmd_verify(config, args.jobs, out)
+            return cmd_verify(config, out)
         if args.command == "info":
             return cmd_info(spec, config.format, out)
         if args.command == "bracket":

@@ -156,10 +156,10 @@ class CycNum:
     # -- comparison / display ----------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, CycNum) else other
-        if not isinstance(o, CycNum):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.order == o.order and self.a == o.a and self.b == o.b
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
         return hash((self.order, self.a, self.b))
@@ -190,14 +190,6 @@ class CycNum:
 def omega_pow(order: int, exponent: int) -> CycNum:
     """w**exponent, using that it only depends on exponent mod order."""
     return CycNum.omega(order) ** (exponent % order)
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
 
 
 def cyc_pow(a: CycNum, k: int) -> CycNum:

@@ -438,17 +438,5 @@ def get_algebra(spec: AlgebraSpec) -> LieAlgebra:
     return LieAlgebra(spec)
 
 
-def bracket(x: LieElem, y: LieElem) -> LieElem:
-    return x.alg.bracket(x, y)
-
-
-def inv_form(x: LieElem, y: LieElem) -> CycNum:
-    return x.alg.form(x, y)
-
-
 def sigma_apply(x: LieElem) -> LieElem:
     return x.alg.sigma(x)
-
-
-def grade_component(x: LieElem, j: int) -> LieElem:
-    return x.alg.grade_component(x, j)

@@ -157,3 +157,11 @@ def test_parse_generator_roundtrip():
         parse_generator("Y+1(0)")
     with pytest.raises(cli.ExprError):
         parse_generator("a1(2)x")
+
+
+def test_verify_rejects_nonpositive_jobs(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--jobs", "0",
+    )
+    assert code == 2
+    assert out == "" and "jobs" in err

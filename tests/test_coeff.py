@@ -98,3 +98,10 @@ def test_omega_power_periodic(order, k):
     w = CycNum.omega(order)
     assert cyc_pow(w, k) == cyc_pow(w, k % order)
     assert omega_pow(order, k) == w ** k
+
+
+def test_equality_refuses_order_mismatch():
+    with pytest.raises(ValueError):
+        CycNum(2, 1) == CycNum(3, 1)
+    assert CycNum(2, 1) == 1 and CycNum(3, 0, 1) != 1
+    assert CycNum(2, 1) != "1"

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from conftest import TWISTED_SPECS, UNTWISTED_SPECS
-from torlie import AlgebraSpec, get_algebra
+from torlie import AlgebraSpec, get_algebra, presentation
 from torlie.kahler import Bt, C0, KahlerElem
 from torlie.presentation import (
     GenSym,
@@ -9,6 +11,7 @@ from torlie.presentation import (
     admissible,
     degree_modulus,
     enumerate_cases,
+    families_for,
     pibar_image,
     proof_cases,
     psi_image,
@@ -210,6 +213,40 @@ def test_case_enumeration_is_deterministic():
     assert len(set(a)) == len(a)
 
 
+# SHA-256 of the rendered case ids of every family at window 3, serre cap
+# 2, each family sorted by case id; pins the case catalog itself, which
+# passing reports only count
+CASE_CATALOG_DIGESTS = {
+    ("A", 3, 2): "669533f41594d96530bd7f1c88c46fd6b6771b12ed4a302080845ad15215daba",
+    ("A", 4, 2): "49df53f1a1c751417df485e1c23c3b7c65a5a56cfb8a9fc23ca6dfbaff769eb8",
+    ("D", 3, 2): "2fcba031b14d0943e54607f28f5ee093c5f8a232af8b7710c4084ee8127df183",
+    ("D", 2, 2): "a1207fd522d4d7f31451372fb0b80909ce40c516c39c2af27740150a2345d1b6",
+    ("D", 4, 3): "0c0cbae83df123a37f2589717b2238939f82004ee11b9983107e8f7cc6c46274",
+    ("A", 2, 1): "17813ad2c307596500b33013eeb3edbd62fed4bf8cd0f496b3770fa453f13ef4",
+    ("D", 3, 1): "4c082a2f9d02d476ba7813f33c41b6426ee9b7d51b656888fdba0539eafbe3ce",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CASE_CATALOG_DIGESTS))
+def test_case_catalog_is_pinned(key):
+    spec = AlgebraSpec(*key)
+    lines = [
+        rel.render()
+        for family in families_for(spec)
+        for rel in sorted(enumerate_cases(spec, family, 3, 2), key=RelationId.sort_key)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CASE_CATALOG_DIGESTS[key]
+
+
+def test_unknown_or_foreign_family_rejected():
+    for spec, family in ((A5, "18"), (A5, "U1"), (AlgebraSpec("A", 2, 1), "1")):
+        with pytest.raises(ValueError):
+            enumerate_cases(spec, family, 1)
+        with pytest.raises(ValueError):
+            relation_sides(RelationId(family, (1, 1), "", (0, 0)), spec)
+
+
 # ---------------------------------------------------------------------------
 # verify_all and named cases
 # ---------------------------------------------------------------------------
@@ -224,12 +261,74 @@ def test_verify_all_small_window():
     assert {f["id"] for f in data["families"]} >= {str(i) for i in range(1, 18)}
 
 
+def _same_reports(a, b):
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.render_text() == b.render_text()
+
+
 def test_verify_all_parallel_matches_serial():
     serial = verify_all(D4_G, 1, 1, include_proof=False)
     parallel = verify_all(D4_G, 1, 1, include_proof=False, jobs=2)
     assert serial.passed and parallel.passed
-    assert [ (fr.family, fr.applicable, fr.passed) for fr in serial.families ] == \
-        [ (fr.family, fr.applicable, fr.passed) for fr in parallel.families ]
+    _same_reports(serial, parallel)
+
+
+def test_verify_all_parallel_matches_serial_failures(monkeypatch):
+    # forked workers inherit the patched module global
+    true_sides = presentation.relation_sides
+
+    def broken(rel, spec):
+        lhs, rhs = true_sides(rel, spec)
+        if rel.family in ("2", "13"):
+            return lhs, rhs + presentation._central_c(spec, rel.degrees[0] + 1)
+        return lhs, rhs
+
+    monkeypatch.setattr(presentation, "relation_sides", broken)
+    serial = verify_all(A5, 1, 1, include_proof=False)
+    parallel = verify_all(A5, 1, 1, include_proof=False, jobs=2)
+    assert not serial.passed
+    failures = [rep for fr in serial.families for rep in fr.failures]
+    assert {rep.rel.family for rep in failures} == {"2", "13"}
+    assert len({rep.diff_text for rep in failures}) > 1
+    _same_reports(serial, parallel)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [
+    (4, 100_000, 4),          # capped by the cores
+    (None, 100_000, None),    # unknown core count: serial
+    (100_000, 100_000, "cases"),  # capped by the number of cases
+    (8, 1, None),             # serial on request
+])
+def test_verify_all_caps_the_pool(monkeypatch, cpus, jobs, want):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    summary = verify_all(D3, 1, 1, include_proof=False, jobs=jobs)
+    if want == "cases":
+        want = summary.total_cases
+    assert _RecordingPool.sizes == ([] if want is None else [want])
+    _same_reports(summary, verify_all(D3, 1, 1, include_proof=False))
 
 
 def test_proof_cases_pass():
