@@ -1,13 +1,8 @@
 """Exact twisted 2-toroidal Lie algebras and presentation verification."""
 
-from .coeff import CycNum, Rational, omega_pow
-from .kahler import Bs, Bt, C0, KahlerElem, KSym, kadd, kscale, reduce_b_da
-from .liealg import (
-    LieAlgebra,
-    LieElem,
-    get_algebra,
-    sigma_apply,
-)
+from .coeff import CycNum, omega_pow
+from .kahler import Bs, Bt, C0, KahlerElem, KSym, reduce_b_da
+from .liealg import LieAlgebra, LieElem, get_algebra
 from .presentation import (
     GenSym,
     RelationId,
@@ -44,12 +39,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "Bs", "Bt", "C0", "ConfigError", "CycNum", "GenSym",
-    "KSym", "KahlerElem", "LieAlgebra", "LieElem", "LoopElem", "Rational",
+    "KSym", "KahlerElem", "LieAlgebra", "LieElem", "LoopElem",
     "RelationId", "RelationReport", "ToroidalElem", "build_cartan",
-    "enumerate_cases", "enumerate_roots", "fix_project", "folded_simple_roots",
-    "get_algebra", "highest_root", "kadd",
-    "kscale", "loop_bracket", "omega_pow", "pibar_image", "proof_cases",
-    "psi_image", "reduce_b_da", "relation_sides", "root_form", "sigma_apply",
-    "sigma_bar", "sigma_root", "span_check", "toroidal_bracket", "verify_all",
-    "verify_family",
+    "enumerate_cases", "enumerate_roots", "fix_project",
+    "folded_simple_roots", "get_algebra", "highest_root", "loop_bracket",
+    "omega_pow", "pibar_image", "proof_cases", "psi_image", "reduce_b_da",
+    "relation_sides", "root_form", "sigma_bar", "sigma_root",
+    "span_check", "toroidal_bracket", "verify_all", "verify_family",
 ]

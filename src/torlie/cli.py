@@ -8,7 +8,8 @@ Commands:
     dump-structure  CSV dump of the structure constants
 
 Exit codes: 0 success / all relations pass, 1 at least one relation
-failed, 2 invalid configuration or expression.
+failed, 2 invalid configuration or expression, 3 internal error (with a
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -249,6 +250,13 @@ def main(argv=None) -> int:
     except (ConfigError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # anything else is a fault in torlie, not a failed relation;
+        # traceback is imported here to keep it off the start-up path
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _ORDERS = (1, 2, 3)
 
 
@@ -54,12 +52,12 @@ class CycNum:
 
     @classmethod
     def omega(cls, order: int) -> "CycNum":
-        """The primitive r-th root of unity of the field."""
-        if order == 1:
-            return cls(1, 1)
-        if order == 2:
-            return cls(2, -1)
-        return cls(3, 0, 1)
+        """The primitive r-th root of unity of the field.
+
+        The constructor collapses w to 1 for r = 1 and to -1 for r = 2,
+        and refuses an unsupported order.
+        """
+        return cls(order, 0, 1)
 
     # -- helpers -----------------------------------------------------
 
@@ -187,10 +185,15 @@ class CycNum:
         return "".join(parts)
 
 
+# w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
+_OMEGA_POWERS = {
+    order: tuple(CycNum.omega(order) ** e for e in range(order)) for order in _ORDERS
+}
+
+
 def omega_pow(order: int, exponent: int) -> CycNum:
     """w**exponent, using that it only depends on exponent mod order."""
-    return CycNum.omega(order) ** (exponent % order)
-
-
-def cyc_pow(a: CycNum, k: int) -> CycNum:
-    return a ** k
+    powers = _OMEGA_POWERS.get(order)
+    if powers is None:
+        raise ValueError(f"unsupported cyclotomic order {order!r}")
+    return powers[exponent % order]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coeff import CycNum
 from .render import join_terms
@@ -56,12 +57,18 @@ def Bt(j: int) -> KSym:
 
 
 class KahlerElem:
-    """Sparse combination of basis symbols with CycNum coefficients."""
+    """Sparse combination of basis symbols with CycNum coefficients.
+
+    Immutable: `terms` is a read-only view of the dict passed in.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+        object.__setattr__(self, "terms", MappingProxyType(terms or {}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KahlerElem is immutable")
 
     def __add__(self, other: "KahlerElem") -> "KahlerElem":
         terms = dict(self.terms)
@@ -104,14 +111,6 @@ class KahlerElem:
 
     def render(self) -> str:
         return join_terms([(c, k.render()) for k, c in sorted(self.terms.items())])
-
-
-def kadd(x: KahlerElem, y: KahlerElem) -> KahlerElem:
-    return x + y
-
-
-def kscale(x: KahlerElem, c) -> KahlerElem:
-    return x.scale(c)
 
 
 def _accumulate(terms: dict, sym: KSym, coeff):

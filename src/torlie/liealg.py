@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .coeff import CycNum, omega_pow
 from .rootdata import (
@@ -32,13 +33,20 @@ from .rootdata import (
 
 
 class LieElem:
-    """Sparse vector over the Chevalley basis of one algebra."""
+    """Sparse vector over the Chevalley basis of one algebra.
+
+    Immutable: `terms` is a read-only view of the dict passed in, which
+    the caller hands over and must not keep changing.
+    """
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: "LieAlgebra", terms: dict):
-        self.alg = alg
-        self.terms = terms
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieElem is immutable")
 
     @classmethod
     def basis(cls, alg: "LieAlgebra", index: int, coeff=1) -> "LieElem":
@@ -436,7 +444,3 @@ class LieAlgebra:
 @lru_cache(maxsize=None)
 def get_algebra(spec: AlgebraSpec) -> LieAlgebra:
     return LieAlgebra(spec)
-
-
-def sigma_apply(x: LieElem) -> LieElem:
-    return x.alg.sigma(x)

@@ -82,8 +82,14 @@ def _require_admissible(spec: AlgebraSpec, gen: GenSym):
         )
 
 
+@lru_cache(maxsize=None)
 def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
-    """Image of a generator in the centrally extended algebra."""
+    """Image of a generator in the centrally extended algebra.
+
+    Cached per process: an image is built, and checked fixed by the
+    twisted automorphism, once per (gen, spec).  Elements are immutable,
+    so every caller can share the cached one.
+    """
     alg = get_algebra(spec)
     r = spec.r
     _require_admissible(spec, gen)

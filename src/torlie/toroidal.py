@@ -15,6 +15,7 @@ every central symbol must have s-degree divisible by the twist order.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coeff import omega_pow
 from .kahler import KahlerElem, reduce_b_da
@@ -22,13 +23,20 @@ from .liealg import LieAlgebra, LieElem
 
 
 class LoopElem:
-    """Sparse map (basis index, s-degree, t-degree) -> coefficient."""
+    """Sparse map (basis index, s-degree, t-degree) -> coefficient.
+
+    Immutable, like LieElem: `terms` is a read-only view of the dict
+    passed in.
+    """
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: LieAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = terms
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LoopElem is immutable")
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "LoopElem":
@@ -153,17 +161,21 @@ def fix_project(x: LoopElem) -> LoopElem:
 
 
 class ToroidalElem:
-    """Loop part plus central part of the extended algebra."""
+    """Loop part plus central part of the extended algebra; immutable."""
 
     __slots__ = ("loop", "central", "twisted")
 
     def __init__(self, loop: LoopElem, central: KahlerElem | None = None,
                  twisted: bool = False, validate: bool = True):
-        self.loop = loop
-        self.central = central if central is not None else KahlerElem()
-        self.twisted = twisted
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "central",
+                           central if central is not None else KahlerElem())
+        object.__setattr__(self, "twisted", twisted)
         if twisted and validate:
             self.validate_twisted()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ToroidalElem is immutable")
 
     def validate_twisted(self):
         r = self.loop.alg.spec.r

@@ -63,6 +63,21 @@ def test_verify_relation_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_internal_error_exit_code(capsys, monkeypatch):
+    # cmd_verify calls the name bound in cli
+    def broken(*args, **kwargs):
+        raise AssertionError("highest-root sl2 normalization failed")
+
+    monkeypatch.setattr(cli, "verify_all", broken)
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--window", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "AssertionError: highest-root sl2 normalization failed" in err
+
+
 def test_info_text(capsys):
     code, out, _ = run(capsys, "info", "--family", "A", "--n", "3", "--r", "2")
     assert code == 0

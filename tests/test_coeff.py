@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torlie.coeff import CycNum, cyc_pow, omega_pow
+from torlie.coeff import CycNum, omega_pow
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -46,9 +46,9 @@ def test_mul_order_two():
 
 def test_pow_examples():
     w3 = CycNum.omega(3)
-    assert cyc_pow(w3, -2) == w3
-    assert cyc_pow(w3, 6) == CycNum.one(3)
-    assert cyc_pow(CycNum.omega(2), 5) == CycNum(2, -1)
+    assert w3 ** -2 == w3
+    assert w3 ** 6 == CycNum.one(3)
+    assert CycNum.omega(2) ** 5 == CycNum(2, -1)
 
 
 def test_zero_negative_power_rejected():
@@ -66,6 +66,20 @@ def test_order_mismatch_rejected():
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError):
         CycNum(4, 1)
+
+
+@pytest.mark.parametrize("order", [0, 4, 5, -3])
+def test_unsupported_order_has_no_root(order):
+    with pytest.raises(ValueError, match="unsupported cyclotomic order"):
+        CycNum.omega(order)
+    with pytest.raises(ValueError, match="unsupported cyclotomic order"):
+        omega_pow(order, 1)
+
+
+def test_omega_is_primitive():
+    assert CycNum.omega(1) == CycNum(1, 1)
+    assert CycNum.omega(2) == CycNum(2, -1)
+    assert CycNum.omega(3) == CycNum(3, 0, 1)
 
 
 def test_normalization_is_canonical():
@@ -96,7 +110,7 @@ def test_field_axioms(order, data):
 @given(k=st.integers(min_value=-30, max_value=30))
 def test_omega_power_periodic(order, k):
     w = CycNum.omega(order)
-    assert cyc_pow(w, k) == cyc_pow(w, k % order)
+    assert w ** k == w ** (k % order)
     assert omega_pow(order, k) == w ** k
 
 

@@ -1,8 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlie.coeff import CycNum
-from torlie.kahler import Bs, Bt, C0, KahlerElem, kadd, kscale, reduce_b_da
+from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
 
 one = CycNum.one(1)
 
@@ -40,10 +41,19 @@ def test_basis_symbol_sanity():
 
 def test_linear_ops():
     x = ke((C0, 1))
-    assert kadd(x, kscale(x, -1)).is_zero()
-    assert kscale(ke((Bs(1, 1), 1)), 2) == ke((Bs(1, 1), 2))
-    two = kadd(ke((Bt(2), 1)), ke((Bs(2, -1), 1)))
+    assert (x + x.scale(-1)).is_zero()
+    assert ke((Bs(1, 1), 1)).scale(2) == ke((Bs(1, 1), 2))
+    two = ke((Bt(2), 1)) + ke((Bs(2, -1), 1))
     assert len(two.terms) == 2
+
+
+def test_kahler_elements_are_immutable():
+    x = ke((C0, 1), (Bt(2), 3))
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    with pytest.raises(TypeError):
+        x.terms[Bt(0)] = one
+    assert x == ke((C0, 1), (Bt(2), 3))
 
 
 def test_reduction_identities_exhaustive():
@@ -57,7 +67,7 @@ def test_reduction_identities_exhaustive():
             second = reduce_b_da((l, -1), (k, 1))
             expect2 = ke((Bt(k + l), 1))
             if k == -l and k:
-                expect2 = kadd(expect2, ke((C0, k)))
+                expect2 = expect2 + ke((C0, k))
             assert second == expect2
 
 
@@ -84,10 +94,8 @@ def test_leibniz_rule(a1, a2, b):
     # b d(a1 a2) = (b a1) d(a2) + (b a2) d(a1)
     prod = (a1[0] + a2[0], a1[1] + a2[1])
     lhs = reduce_b_da(b, prod)
-    rhs = kadd(
-        reduce_b_da((b[0] + a1[0], b[1] + a1[1]), a2),
-        reduce_b_da((b[0] + a2[0], b[1] + a2[1]), a1),
-    )
+    rhs = (reduce_b_da((b[0] + a1[0], b[1] + a1[1]), a2)
+           + reduce_b_da((b[0] + a2[0], b[1] + a2[1]), a1))
     assert lhs == rhs
 
 

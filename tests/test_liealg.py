@@ -5,7 +5,7 @@ import pytest
 
 from conftest import TWISTED_SPECS
 from torlie import AlgebraSpec, CycNum, get_algebra
-from torlie.liealg import LieElem, sigma_apply
+from torlie.liealg import LieElem
 
 A5 = AlgebraSpec("A", 3, 2)
 D4_B = AlgebraSpec("D", 3, 2)
@@ -144,9 +144,9 @@ def test_sigma_fixes_highest_root_vectors(spec):
     alg = get_algebra(spec)
     e0, f0, h0 = alg.theta_triple()
     assert alg.sigma_fixes_theta
-    assert sigma_apply(e0) == e0
-    assert sigma_apply(f0) == f0
-    assert sigma_apply(h0) == h0
+    assert alg.sigma(e0) == e0
+    assert alg.sigma(f0) == f0
+    assert alg.sigma(h0) == h0
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +273,16 @@ def test_theta_pairing_rows():
             expected = -1 if j == attach else 0
             assert alg.form(h0, alg.h(j)) == alg.scalar(expected)
             assert alg.form(h0, alg.sigma(alg.h(j))) == alg.scalar(expected)
+
+
+def test_lie_elements_are_immutable():
+    alg = get_algebra(A5)
+    x = alg.e(1) + alg.h(2)
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    with pytest.raises(AttributeError):
+        x.alg = get_algebra(D4_B)
+    with pytest.raises(TypeError):
+        x.terms[0] = alg.scalar(1)
+    assert x == alg.e(1) + alg.h(2)
+    assert hash(x) == hash(alg.e(1) + alg.h(2))

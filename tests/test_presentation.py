@@ -293,6 +293,33 @@ def test_verify_all_parallel_matches_serial_failures(monkeypatch):
     _same_reports(serial, parallel)
 
 
+def test_psi_image_is_cached_and_shared():
+    for spec in (A5, D4_G):
+        for g in all_gens(spec, 1):
+            img = psi_image(g, spec)
+            assert psi_image(g, spec) is img
+            fresh = psi_image.__wrapped__(g, spec)
+            assert fresh is not img
+            # arithmetic on the shared image must leave it as it was built
+            img * 2, -img, img + img, img - img, toroidal_bracket(img, img)
+            assert img == fresh
+            assert img.render() == fresh.render()
+
+
+@pytest.mark.parametrize("spec", [A5, D4_G])
+def test_reports_do_not_depend_on_the_image_cache(spec, monkeypatch):
+    psi_image.cache_clear()
+    cold = verify_all(spec, 2, 2)
+    assert psi_image.cache_info().currsize > 0
+    warm = verify_all(spec, 2, 2)
+    assert psi_image.cache_info().hits > 0
+    _same_reports(cold, warm)
+    monkeypatch.setattr(presentation, "psi_image", psi_image.__wrapped__)
+    _same_reports(cold, verify_all(spec, 2, 2))
+    for g in all_gens(spec, 2)[::3]:
+        assert psi_image(g, spec) == psi_image.__wrapped__(g, spec)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, maps serially."""
 

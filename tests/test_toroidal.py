@@ -160,6 +160,32 @@ def test_twisted_validation():
     ToroidalElem(fix_project(not_fixed), twisted=True)
 
 
+def test_loop_elements_are_immutable():
+    alg = get_algebra(A5)
+    x = loop(alg, ((alg.N, 1, 0), 2), ((0, 0, -1), 1))
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    with pytest.raises(AttributeError):
+        x.alg = alg
+    with pytest.raises(TypeError):
+        x.terms[(1, 0, 0)] = alg.scalar(1)
+    assert x == loop(alg, ((alg.N, 1, 0), 2), ((0, 0, -1), 1))
+
+
+def test_toroidal_elements_are_immutable():
+    alg = get_algebra(A5)
+    x = ToroidalElem(loop(alg, ((0, 0, 1), 1)), KahlerElem({C0: alg.scalar(1)}))
+    for attr in ("loop", "central", "twisted"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, getattr(x, attr))
+    with pytest.raises(TypeError):
+        x.loop.terms[(1, 0, 0)] = alg.scalar(1)
+    with pytest.raises(TypeError):
+        x.central.terms[Bt(0)] = alg.scalar(1)
+    assert x == ToroidalElem(loop(alg, ((0, 0, 1), 1)),
+                             KahlerElem({C0: alg.scalar(1)}))
+
+
 @pytest.mark.parametrize("spec", TWISTED_SPECS)
 def test_bracket_closure_and_grading(spec):
     alg = get_algebra(spec)
