@@ -14,7 +14,6 @@ from .presentation import (
     relation_sides,
     span_check,
     verify_all,
-    verify_family,
 )
 from .rootdata import (
     AlgebraSpec,
@@ -45,5 +44,5 @@ __all__ = [
     "folded_simple_roots", "get_algebra", "highest_root", "loop_bracket",
     "omega_pow", "pibar_image", "proof_cases", "psi_image", "reduce_b_da",
     "relation_sides", "root_form", "sigma_bar", "sigma_root",
-    "span_check", "toroidal_bracket", "verify_all", "verify_family",
+    "span_check", "toroidal_bracket", "verify_all",
 ]

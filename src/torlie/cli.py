@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         if args.command == "dump-structure":
             return cmd_dump_structure(spec, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ExprError, ValueError) as exc:
+    except (ConfigError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -9,11 +9,15 @@ is exact at arbitrary precision.
 
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
+
+`SparseTerms` is the one format of every vector in the library: an
+immutable sparse map from a basis key to a nonzero CycNum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 _ORDERS = (1, 2, 3)
 
@@ -197,3 +201,139 @@ def omega_pow(order: int, exponent: int) -> CycNum:
     if powers is None:
         raise ValueError(f"unsupported cyclotomic order {order!r}")
     return powers[exponent % order]
+
+
+def coeff_prefix(c: CycNum, symbol: str) -> str:
+    """Render coeff*symbol, folding unit coefficients into the symbol."""
+    s = str(c)
+    if s == "1":
+        return symbol
+    if s == "-1":
+        return f"-{symbol}"
+    if "+" in s or "-" in s[1:]:
+        s = f"({s})"
+    return f"{s}*{symbol}"
+
+
+class SparseTerms:
+    """Immutable sparse combination: `terms` maps a key to a CycNum.
+
+    Invariant: no stored coefficient is zero.  Every operation drops the
+    keys whose coefficients cancel, and every constructor caller hands
+    over a fresh dict without zero values, so two elements are equal
+    exactly when their term maps are, and `==` is an exact zero test of
+    the difference.  `terms` is a read-only view of that dict, and
+    attributes cannot be reassigned, so elements can be shared.
+
+    Subclasses name (`_symbol`) and order (`_sort_key`) their keys for
+    `render`; `AlgebraTerms` binds elements to one algebra.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        terms = {} if terms is None else terms
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- hooks of algebra-bound subclasses ------------------------------
+
+    def _new(self, terms: dict):
+        """A sibling element over the same space."""
+        return type(self)(terms)
+
+    def _scalar(self, value):
+        return value
+
+    def _same_space(self, other) -> bool:
+        return True
+
+    def _check(self, other):
+        if not self._same_space(other):
+            raise ValueError("elements belong to different algebras")
+
+    # -- vector space operations ----------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k)
+            s = c if s is None else s + c
+            if s:
+                terms[k] = s
+            else:
+                del terms[k]
+        return self._new(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, value):
+        c = self._scalar(value)
+        if not c:
+            return self._new({})
+        # a field has no zero divisors: nonzero times nonzero stays nonzero
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    __mul__ = __rmul__ = scale
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._same_space(other) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- display ----------------------------------------------------------
+
+    def _sort_key(self, key):
+        return key
+
+    def render(self) -> str:
+        """Signed sum of coeff*symbol in key order; "0" when empty."""
+        out = ""
+        for key in sorted(self.terms, key=self._sort_key):
+            part = coeff_prefix(self.terms[key], self._symbol(key))
+            if not out:
+                out = part
+            elif part.startswith("-"):
+                out += " - " + part[1:]
+            else:
+                out += " + " + part
+        return out or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class AlgebraTerms(SparseTerms):
+    """SparseTerms bound to one algebra, whose scalars they take."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg, terms: dict):
+        # no super() call: the bracket loops build one element per bracket
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def _new(self, terms: dict):
+        return type(self)(self.alg, terms)
+
+    def _scalar(self, value):
+        return self.alg.scalar(value)
+
+    def _same_space(self, other) -> bool:
+        return self.alg is other.alg
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.alg.spec.name}, {self.render()})"

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
-from .coeff import CycNum
-from .render import join_terms
+from .coeff import CycNum, SparseTerms
 
 LaurentMono = tuple  # (s-degree, t-degree)
 
@@ -56,61 +54,13 @@ def Bt(j: int) -> KSym:
     return KSym("dt", j)
 
 
-class KahlerElem:
-    """Sparse combination of basis symbols with CycNum coefficients.
+class KahlerElem(SparseTerms):
+    """Sparse combination of basis symbols with CycNum coefficients."""
 
-    Immutable: `terms` is a read-only view of the dict passed in.
-    """
+    __slots__ = ()
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        object.__setattr__(self, "terms", MappingProxyType(terms or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KahlerElem is immutable")
-
-    def __add__(self, other: "KahlerElem") -> "KahlerElem":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return KahlerElem(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KahlerElem({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "KahlerElem":
-        out = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if s:
-                out[k] = s
-        return KahlerElem(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, KahlerElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"KahlerElem({self.render()})"
-
-    def render(self) -> str:
-        return join_terms([(c, k.render()) for k, c in sorted(self.terms.items())])
+    def _symbol(self, sym: KSym) -> str:
+        return sym.render()
 
 
 def _accumulate(terms: dict, sym: KSym, coeff):

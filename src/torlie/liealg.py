@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
-from .coeff import CycNum, omega_pow
+from .coeff import AlgebraTerms, CycNum, omega_pow
 from .rootdata import (
     AlgebraSpec,
     build_cartan,
@@ -32,78 +31,21 @@ from .rootdata import (
 )
 
 
-class LieElem:
-    """Sparse vector over the Chevalley basis of one algebra.
+class LieElem(AlgebraTerms):
+    """Sparse vector over the Chevalley basis of one algebra."""
 
-    Immutable: `terms` is a read-only view of the dict passed in, which
-    the caller hands over and must not keep changing.
-    """
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: "LieAlgebra", terms: dict):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElem is immutable")
+    __slots__ = ()
 
     @classmethod
     def basis(cls, alg: "LieAlgebra", index: int, coeff=1) -> "LieElem":
         c = alg.scalar(coeff)
         return cls(alg, {index: c} if c else {})
 
-    def _check(self, other: "LieElem"):
-        if self.alg is not other.alg:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            s = terms.get(b, self.alg.zero_scalar) + c
-            if s:
-                terms[b] = s
-            else:
-                terms.pop(b, None)
-        return LieElem(self.alg, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElem(self.alg, {b: -c for b, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        c = self.alg.scalar(scalar)
-        if not c:
-            return LieElem(self.alg, {})
-        return LieElem(self.alg, {b: v * c for b, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElem):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
     def __hash__(self):
         return hash((id(self.alg), frozenset(self.terms.items())))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"LieElem({self.alg.spec.name}, {self.render()})"
-
-    def render(self) -> str:
-        from .render import join_terms
-
-        items = [(c, self.alg.basis_name(b)) for b, c in sorted(self.terms.items())]
-        return join_terms(items)
+    def _symbol(self, b: int) -> str:
+        return self.alg.basis_name(b)
 
 
 class EchelonBasis:

@@ -15,28 +15,16 @@ every central symbol must have s-degree divisible by the twist order.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 
-from .coeff import omega_pow
+from .coeff import AlgebraTerms, omega_pow
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
 
-class LoopElem:
-    """Sparse map (basis index, s-degree, t-degree) -> coefficient.
+class LoopElem(AlgebraTerms):
+    """Sparse map (basis index, s-degree, t-degree) -> coefficient."""
 
-    Immutable, like LieElem: `terms` is a read-only view of the dict
-    passed in.
-    """
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: LieAlgebra, terms: dict):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LoopElem is immutable")
+    __slots__ = ()
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "LoopElem":
@@ -46,64 +34,18 @@ class LoopElem:
     def from_lie(cls, x: LieElem, j: int = 0, m: int = 0) -> "LoopElem":
         return cls(x.alg, {(b, j, m): c for b, c in x.terms.items()})
 
-    def _check(self, other: "LoopElem"):
-        if self.alg is not other.alg:
-            raise ValueError("loop elements belong to different algebras")
+    def _symbol(self, key) -> str:
+        b, j, m = key
+        parts = [self.alg.basis_name(b)]
+        if j:
+            parts.append(f"s^{j}")
+        if m:
+            parts.append(f"t^{m}")
+        return "*".join(parts)
 
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return LoopElem(self.alg, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LoopElem(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        c = self.alg.scalar(scalar)
-        if not c:
-            return LoopElem(self.alg, {})
-        return LoopElem(self.alg, {k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElem):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"LoopElem({self.alg.spec.name}, {self.render()})"
-
-    def render(self) -> str:
-        from .render import join_terms
-
-        def name(key):
-            b, j, m = key
-            parts = [self.alg.basis_name(b)]
-            if j:
-                parts.append(f"s^{j}")
-            if m:
-                parts.append(f"t^{m}")
-            return "*".join(parts)
-
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
-        return join_terms([(c, name(k)) for k, c in items])
+    def _sort_key(self, key):
+        b, j, m = key
+        return (j, m, b)
 
 
 def loop_bracket(x: LoopElem, y: LoopElem) -> LoopElem:

@@ -1,0 +1,60 @@
+"""The benchmark's span recorder (bench/spans.py) against this source.
+
+The recorder reaches methods through their owner's class ``__dict__``,
+so a traced method that moves into a base class breaks it; this test
+catches that, and checks that `restore()` puts every name back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from torlie import AlgebraSpec, get_algebra, presentation
+from torlie.presentation import GenSym
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+A5 = AlgebraSpec("A", 3, 2)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def torlie_names() -> dict:
+    """(module, attribute[, class attribute]) -> object, for all of torlie."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "torlie" or modname.startswith("torlie."):
+            for attr, value in vars(mod).items():
+                out[(modname, attr)] = value
+                if isinstance(value, type) and value.__module__ == modname:
+                    for cattr, cvalue in vars(value).items():
+                        out[(modname, attr, cattr)] = cvalue
+    return out
+
+
+def test_span_recorder_installs_and_restores():
+    spans = load_spans()
+    before = torlie_names()
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        alg = get_algebra(A5)
+        alg.bracket(alg.e(1), alg.f(1))
+        alg.graded_dim(1)
+        x = presentation.psi_image(GenSym("x+", 1, 1), A5)
+        y = presentation.psi_image(GenSym("x-", 1, -1), A5)
+        presentation.toroidal_bracket(x, y)
+        summary = recorder.summary()
+    finally:
+        recorder.restore()
+    for name in ("liealg.bracket", "liealg.echelon_add", "toroidal.validate_twisted",
+                 "toroidal.toroidal_bracket", "toroidal.loop_bracket",
+                 "presentation.psi_image"):
+        assert summary[name]["calls"] > 0, name
+    after = torlie_names()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

@@ -180,3 +180,28 @@ def test_verify_rejects_nonpositive_jobs(capsys):
     )
     assert code == 2
     assert out == "" and "jobs" in err
+
+
+def test_verify_internal_value_error_exit_code(capsys, monkeypatch):
+    # a ValueError from inside torlie is an internal error, not bad input
+    from torlie.toroidal import ToroidalElem
+
+    def broken(self):
+        raise ValueError("loop part is not fixed by the twisted automorphism")
+
+    monkeypatch.setattr(ToroidalElem, "validate_twisted", broken)
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--window", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "ValueError: loop part is not fixed" in err
+
+
+def test_bracket_index_out_of_range(capsys):
+    code, _, err = run(
+        capsys, "bracket", "--family", "A", "--n", "3", "--r", "2", "a9(0)", "c",
+    )
+    assert code == 2
+    assert err == "error: generator index 9 out of range for A5\n"

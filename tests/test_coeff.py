@@ -119,3 +119,55 @@ def test_equality_refuses_order_mismatch():
         CycNum(2, 1) == CycNum(3, 1)
     assert CycNum(2, 1) == 1 and CycNum(3, 0, 1) != 1
     assert CycNum(2, 1) != "1"
+
+
+# -- the sparse-term base of LieElem, LoopElem and KahlerElem ---------------
+
+def _sparse_kinds():
+    from torlie import AlgebraSpec, get_algebra
+    from torlie.kahler import Bs, Bt, C0, KahlerElem
+    from torlie.liealg import LieElem
+    from torlie.toroidal import LoopElem
+
+    g2 = get_algebra(AlgebraSpec("D", 4, 3))
+    other = get_algebra(AlgebraSpec("D", 3, 2))
+    # kind -> (keys, element builder, builder over a second algebra or None)
+    return {
+        "LieElem": ((0, 1, g2.N), lambda t: LieElem(g2, t), lambda t: LieElem(other, t)),
+        "LoopElem": (((0, 0, 0), (g2.N, 1, 0), (1, -1, 2)),
+                     lambda t: LoopElem(g2, t), lambda t: LoopElem(other, t)),
+        "KahlerElem": ((C0, Bt(1), Bs(0, 1)), KahlerElem, None),
+    }
+
+
+@pytest.mark.parametrize("kind", ["LieElem", "LoopElem", "KahlerElem"])
+def test_sparse_terms_never_store_zero(kind):
+    import random
+
+    keys, make, make_other = _sparse_kinds()[kind]
+    rng = random.Random(7)
+
+    def random_elem():
+        # few keys and small coefficients, so that sums often cancel
+        return make({key: CycNum(3, rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 1)))
+                     for key in rng.sample(keys, rng.randint(0, len(keys)))})
+
+    cancelled = 0
+    for _ in range(200):
+        x, y = random_elem(), random_elem()
+        assert (x + (-x)).terms == {}
+        assert (x - x).terms == {}
+        assert x.scale(0).terms == {}
+        for z in (x + y, x - y, -x, x.scale(CycNum(3, 1, 1)), x.scale(-2)):
+            assert all(z.terms.values())
+        total = x + y
+        cancelled += len(x.terms) + len(y.terms) - len(total.terms) > 0
+        assert total - y == x
+        assert (total == x) == (not y)
+    assert cancelled > 0
+    if make_other is not None:
+        x = make({keys[0]: CycNum.one(3)})
+        foreign = make_other({keys[0]: CycNum.one(2)})
+        for op in (lambda: x + foreign, lambda: x - foreign, lambda: foreign + x):
+            with pytest.raises(ValueError):
+                op()

@@ -11,6 +11,7 @@ from torlie.presentation import (
     admissible,
     degree_modulus,
     enumerate_cases,
+    evaluate_case,
     families_for,
     pibar_image,
     proof_cases,
@@ -20,7 +21,6 @@ from torlie.presentation import (
     serre_matrix,
     span_check,
     verify_all,
-    verify_family,
 )
 from torlie.toroidal import LoopElem, ToroidalElem, sigma_bar, toroidal_bracket
 
@@ -180,7 +180,7 @@ def test_depth_two_fails_at_twisted_affine_pair():
 
 
 def test_verify_family_counts():
-    reports = verify_family("1", A5, 4)
+    reports = [evaluate_case(A5, rel) for rel in enumerate_cases(A5, "1", 4)]
     assert len(reports) == 25  # five admissible degrees squared
     assert all(rep.passed for rep in reports)
 
