@@ -203,6 +203,13 @@ def omega_pow(order: int, exponent: int) -> CycNum:
     return powers[exponent % order]
 
 
+def drop_zeros(terms: dict) -> dict:
+    """`terms` itself when no value is zero, else a copy without the zeros."""
+    if all(terms.values()):
+        return terms
+    return {k: v for k, v in terms.items() if v}
+
+
 def coeff_prefix(c: CycNum, symbol: str) -> str:
     """Render coeff*symbol, folding unit coefficients into the symbol."""
     s = str(c)
@@ -215,15 +222,30 @@ def coeff_prefix(c: CycNum, symbol: str) -> str:
     return f"{s}*{symbol}"
 
 
+def signed_join(parts) -> str:
+    """Join signed terms as "a + b - c"; "0" when there are none."""
+    out = ""
+    for part in parts:
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out or "0"
+
+
 class SparseTerms:
     """Immutable sparse combination: `terms` maps a key to a CycNum.
 
-    Invariant: no stored coefficient is zero.  Every operation drops the
-    keys whose coefficients cancel, and every constructor caller hands
-    over a fresh dict without zero values, so two elements are equal
-    exactly when their term maps are, and `==` is an exact zero test of
-    the difference.  `terms` is a read-only view of that dict, and
-    attributes cannot be reassigned, so elements can be shared.
+    Invariant: no stored coefficient is zero.  The constructor enforces
+    it, through `drop_zeros`, so two elements are equal exactly when
+    their term maps are, and `==` is an exact zero test of the
+    difference.  The constructor takes ownership of the dict it is given
+    and does not copy it (a copy would cost every bracket); callers hand
+    over a fresh dict and do not touch it afterwards.  `terms` is a
+    read-only view of that dict, and attributes cannot be reassigned, so
+    elements can be shared.
 
     Subclasses name (`_symbol`) and order (`_sort_key`) their keys for
     `render`; `AlgebraTerms` binds elements to one algebra.
@@ -232,7 +254,7 @@ class SparseTerms:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        terms = {} if terms is None else terms
+        terms = {} if terms is None else drop_zeros(terms)
         object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def __setattr__(self, name, value):
@@ -261,11 +283,7 @@ class SparseTerms:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                del terms[k]
+            terms[k] = c if s is None else s + c
         return self._new(terms)
 
     def __sub__(self, other):
@@ -276,9 +294,6 @@ class SparseTerms:
 
     def scale(self, value):
         c = self._scalar(value)
-        if not c:
-            return self._new({})
-        # a field has no zero divisors: nonzero times nonzero stays nonzero
         return self._new({k: v * c for k, v in self.terms.items()})
 
     __mul__ = __rmul__ = scale
@@ -301,16 +316,8 @@ class SparseTerms:
 
     def render(self) -> str:
         """Signed sum of coeff*symbol in key order; "0" when empty."""
-        out = ""
-        for key in sorted(self.terms, key=self._sort_key):
-            part = coeff_prefix(self.terms[key], self._symbol(key))
-            if not out:
-                out = part
-            elif part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out or "0"
+        return signed_join(coeff_prefix(self.terms[key], self._symbol(key))
+                           for key in sorted(self.terms, key=self._sort_key))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()})"
@@ -324,7 +331,7 @@ class AlgebraTerms(SparseTerms):
     def __init__(self, alg, terms: dict):
         # no super() call: the bracket loops build one element per bracket
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "terms", MappingProxyType(drop_zeros(terms)))
 
     def _new(self, terms: dict):
         return type(self)(self.alg, terms)

@@ -65,11 +65,7 @@ class KahlerElem(SparseTerms):
 
 def _accumulate(terms: dict, sym: KSym, coeff):
     s = terms.get(sym)
-    s = coeff if s is None else s + coeff
-    if s:
-        terms[sym] = s
-    else:
-        terms.pop(sym, None)
+    terms[sym] = coeff if s is None else s + coeff
 
 
 def _reduce_ds(terms: dict, u: int, v: int, coeff):

@@ -38,8 +38,7 @@ class LieElem(AlgebraTerms):
 
     @classmethod
     def basis(cls, alg: "LieAlgebra", index: int, coeff=1) -> "LieElem":
-        c = alg.scalar(coeff)
-        return cls(alg, {index: c} if c else {})
+        return cls(alg, {index: alg.scalar(coeff)})
 
     def __hash__(self):
         return hash((id(self.alg), frozenset(self.terms.items())))
@@ -65,11 +64,9 @@ class EchelonBasis:
             c = vec.get(pivot)
             if c:
                 for k, v in row.items():
-                    s = vec.get(k, 0 * v) - c * v
-                    if s:
-                        vec[k] = s
-                    else:
-                        vec.pop(k, None)
+                    s = vec.get(k)
+                    vec[k] = -c * v if s is None else s - c * v
+        # rows are plain dicts, not SparseTerms: drop what the reduction zeroed
         vec = {k: v for k, v in vec.items() if v}
         if not vec:
             return False
@@ -102,6 +99,7 @@ class LieAlgebra:
             for root in self.roots
         )
         self._table = self._build_bracket_table()
+        self._form = self._build_form_table()
         self._sigma = self._build_sigma_table()
         self._theta = self._build_theta_triple()
 
@@ -137,10 +135,7 @@ class LieAlgebra:
 
     def coroot(self, root) -> LieElem:
         """h_alpha = sum of coordinate multiples of the h_i."""
-        return LieElem(
-            self,
-            {i: self.scalar(c) for i, c in enumerate(root) if c},
-        )
+        return LieElem(self, {i: self.scalar(c) for i, c in enumerate(root)})
 
     def basis_name(self, b: int) -> str:
         if b < self.N:
@@ -211,7 +206,6 @@ class LieAlgebra:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
         table = self._table
-        zero = self.zero_scalar
         terms = {}
         for b1, c1 in x.terms.items():
             for b2, c2 in y.terms.items():
@@ -220,28 +214,30 @@ class LieAlgebra:
                     continue
                 c = c1 * c2
                 for b3, k in entry:
-                    s = terms.get(b3, zero) + c * k
-                    if s:
-                        terms[b3] = s
-                    else:
-                        terms.pop(b3, None)
+                    s = terms.get(b3)
+                    terms[b3] = c * k if s is None else s + c * k
         return LieElem(self, terms)
+
+    def _build_form_table(self):
+        # (h_i|h_j) = A'_ij, (e_a|e_-a) = 1, every other pair 0 (absent)
+        A = self.cartan.A_prime
+        N = self.N
+        table = {(i, j): self.scalar(A[i][j])
+                 for i in range(N) for j in range(N) if A[i][j]}
+        for ri, rj in enumerate(self._neg):
+            table[(N + ri, N + rj)] = self.scalar(1)
+        return table
 
     def form(self, x: LieElem, y: LieElem) -> CycNum:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        A = self.cartan.A_prime
-        N = self.N
+        table = self._form
         total = self.zero_scalar
         for b1, c1 in x.terms.items():
-            if b1 < N:
-                for b2, c2 in y.terms.items():
-                    if b2 < N and A[b1][b2]:
-                        total = total + c1 * c2 * A[b1][b2]
-            else:
-                c2 = y.terms.get(N + self._neg[b1 - N])
-                if c2 is not None:
-                    total = total + c1 * c2
+            for b2, c2 in y.terms.items():
+                pairing = table.get((b1, b2))
+                if pairing is not None:
+                    total = total + c1 * c2 * pairing
         return total
 
     # -- diagram automorphism --------------------------------------------
@@ -303,15 +299,11 @@ class LieAlgebra:
         return table
 
     def sigma(self, x: LieElem) -> LieElem:
+        # a signed permutation of the basis: distinct keys never collide
         terms = {}
-        zero = self.zero_scalar
         for b, c in x.terms.items():
             b2, s = self._sigma[b]
-            v = terms.get(b2, zero) + (c if s == 1 else -c)
-            if v:
-                terms[b2] = v
-            else:
-                terms.pop(b2, None)
+            terms[b2] = c if s == 1 else -c
         return LieElem(self, terms)
 
     def sigma_basis(self, b: int):

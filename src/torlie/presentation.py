@@ -381,11 +381,8 @@ def _zero(spec) -> ToroidalElem:
 def _central_c(spec, coeff) -> ToroidalElem:
     """coeff times the image of the central generator."""
     alg = get_algebra(spec)
-    c = alg.scalar(coeff)
-    if not c:
-        return _zero(spec)
-    return ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: c}), twisted=True,
-                        validate=False)
+    return ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: alg.scalar(coeff)}),
+                        twisted=True, validate=False)
 
 
 def _x(spec, sign, i, k) -> ToroidalElem:
@@ -660,6 +657,8 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
     produced word is homogeneous in both Laurent degrees, so the span
     meets a slice exactly in the span of the words of that bidegree.
     """
+    if min(j_window, m_window, word_length) < 0:
+        raise ConfigError("span windows and word length must not be negative")
     alg = get_algebra(spec)
     box_j = 2 * j_window
     box_m = m_window + 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import AlgebraTerms, omega_pow
+from .coeff import AlgebraTerms, omega_pow, signed_join
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
@@ -63,11 +63,7 @@ def loop_bracket(x: LoopElem, y: LoopElem) -> LoopElem:
             for b3, k in entry:
                 key = (b3, key_j, key_m)
                 s = terms.get(key)
-                s = c * k if s is None else s + c * k
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+                terms[key] = c * k if s is None else s + c * k
     return LoopElem(alg, terms)
 
 
@@ -75,19 +71,12 @@ def sigma_bar(x: LoopElem) -> LoopElem:
     """Twisted automorphism: basis automorphism times omega^(-j)."""
     alg = x.alg
     r = alg.spec.r
+    # a signed permutation of the basis keeps (j, m): keys never collide
     terms: dict = {}
     for (b, j, m), c in x.terms.items():
         b2, s = alg.sigma_basis(b)
         v = c * omega_pow(r, -j)
-        if s != 1:
-            v = -v
-        key = (b2, j, m)
-        prev = terms.get(key)
-        v = v if prev is None else prev + v
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
+        terms[(b2, j, m)] = v if s == 1 else -v
     return LoopElem(alg, terms)
 
 
@@ -142,7 +131,8 @@ class ToroidalElem:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        return ToroidalElem(self.loop - other.loop, self.central - other.central,
+                            twisted=self.twisted and other.twisted, validate=False)
 
     def __neg__(self):
         return self._wrap(-self.loop, -self.central)
@@ -168,15 +158,7 @@ class ToroidalElem:
         return f"ToroidalElem({self.render()})"
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        lp = self.loop.render()
-        cp = self.central.render()
-        if self.loop.is_zero():
-            return cp
-        if self.central.is_zero():
-            return lp
-        return lp + (" + " + cp if not cp.startswith("-") else " - " + cp[1:])
+        return signed_join(part.render() for part in (self.loop, self.central) if part)
 
 
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
@@ -186,24 +168,11 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     r = alg.spec.r
     loop = loop_bracket(x.loop, y.loop)
     central = KahlerElem()
-    N = alg.N
-    neg = alg._neg
-    A = alg.cartan.A_prime
+    form = alg._form
     for (b1, j1, m1), c1 in x.loop.terms.items():
         for (b2, j2, m2), c2 in y.loop.terms.items():
-            if b1 < N:
-                if b2 >= N or not A[b1][b2]:
-                    continue
-                pairing = alg.scalar(A[b1][b2])
-            else:
-                if b2 != N + neg[b1 - N]:
-                    continue
-                pairing = alg.scalar(1)
-            coeff = c1 * c2 * pairing
-            if not coeff:
-                continue
-            central = central + reduce_b_da((j2, m2), (j1, m1), r).scale(coeff)
-    out = ToroidalElem(loop, central, twisted=x.twisted and y.twisted, validate=False)
-    if out.twisted:
-        out.validate_twisted()
-    return out
+            pairing = form.get((b1, b2))
+            if pairing is not None:
+                central = central + reduce_b_da((j2, m2), (j1, m1), r).scale(
+                    c1 * c2 * pairing)
+    return ToroidalElem(loop, central, twisted=x.twisted and y.twisted)

@@ -2,17 +2,21 @@
 
 The recorder reaches methods through their owner's class ``__dict__``,
 so a traced method that moves into a base class breaks it; this test
-catches that, and checks that `restore()` puts every name back.
+catches that, and checks that `restore()` puts every name back.  The
+benchmark's own self-test runs here too, so that a refactor which drops
+a name the benchmark rebinds or calls fails the suite.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 from torlie import AlgebraSpec, get_algebra, presentation
 from torlie.presentation import GenSym
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 A5 = AlgebraSpec("A", 3, 2)
 
 
@@ -58,3 +62,10 @@ def test_span_recorder_installs_and_restores():
     after = torlie_names()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_benchmark_selftest_passes():
+    # the self-test keeps its files in a temporary directory under bench/out/
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          cwd=BENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -147,6 +147,16 @@ def test_span_text(capsys):
     assert "21/21 ok" in out and "14/14 ok" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--j-window", "-1"), ("--m-window", "-1"),
+                                         ("--word-length", "-3")])
+def test_span_rejects_negative_windows(capsys, flag, value):
+    code, out, err = run(
+        capsys, "span", "--family", "A", "--n", "3", "--r", "2", flag, value,
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "negative" in err
+
+
 def test_dump_structure(capsys):
     code, out, _ = run(capsys, "dump-structure", "--family", "A", "--n", "2", "--r", "2")
     assert code == 0

@@ -127,16 +127,21 @@ def _sparse_kinds():
     from torlie import AlgebraSpec, get_algebra
     from torlie.kahler import Bs, Bt, C0, KahlerElem
     from torlie.liealg import LieElem
-    from torlie.toroidal import LoopElem
+    from torlie.toroidal import LoopElem, loop_bracket, sigma_bar
 
     g2 = get_algebra(AlgebraSpec("D", 4, 3))
     other = get_algebra(AlgebraSpec("D", 3, 2))
-    # kind -> (keys, element builder, builder over a second algebra or None)
+    # kind -> (keys, element builder, builder over a second algebra or None,
+    #          bracket and automorphism of the kind or None)
+    # h1 + 2*h2 pairs to zero with alpha_1, so its bracket with e_alpha1 cancels
+    lie_keys = (0, 1, g2.N, g2.N + g2.root_index[(1, 0, 0, 0)])
     return {
-        "LieElem": ((0, 1, g2.N), lambda t: LieElem(g2, t), lambda t: LieElem(other, t)),
-        "LoopElem": (((0, 0, 0), (g2.N, 1, 0), (1, -1, 2)),
-                     lambda t: LoopElem(g2, t), lambda t: LoopElem(other, t)),
-        "KahlerElem": ((C0, Bt(1), Bs(0, 1)), KahlerElem, None),
+        "LieElem": (lie_keys, lambda t: LieElem(g2, t), lambda t: LieElem(other, t),
+                    (g2.bracket, g2.sigma)),
+        "LoopElem": (((0, 0, 0), (1, 0, 0), (g2.N, 1, 0), (lie_keys[3], -1, 2)),
+                     lambda t: LoopElem(g2, t), lambda t: LoopElem(other, t),
+                     (loop_bracket, sigma_bar)),
+        "KahlerElem": ((C0, Bt(1), Bs(0, 1)), KahlerElem, None, None),
     }
 
 
@@ -144,13 +149,25 @@ def _sparse_kinds():
 def test_sparse_terms_never_store_zero(kind):
     import random
 
-    keys, make, make_other = _sparse_kinds()[kind]
+    keys, make, make_other, ops = _sparse_kinds()[kind]
     rng = random.Random(7)
+    zero, one = CycNum(3), CycNum.one(3)
+
+    # the constructor itself drops an explicit zero coefficient
+    assert make({keys[0]: zero}) == make({})
+    assert make({keys[0]: zero}).render() == "0"
+    assert make({keys[0]: zero, keys[1]: one}) == make({keys[1]: one})
+
+    drawn_zero = 0
 
     def random_elem():
-        # few keys and small coefficients, so that sums often cancel
-        return make({key: CycNum(3, rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 1)))
-                     for key in rng.sample(keys, rng.randint(0, len(keys)))})
+        # few keys and small coefficients, so that sums often cancel; the
+        # draws include zero coefficients, which the constructor drops
+        nonlocal drawn_zero
+        terms = {key: CycNum(3, rng.choice((-2, -1, 0, 1, 2)), rng.choice((-1, 0, 1)))
+                 for key in rng.sample(keys, rng.randint(0, len(keys)))}
+        drawn_zero += not all(terms.values())
+        return make(terms)
 
     cancelled = 0
     for _ in range(200):
@@ -158,13 +175,24 @@ def test_sparse_terms_never_store_zero(kind):
         assert (x + (-x)).terms == {}
         assert (x - x).terms == {}
         assert x.scale(0).terms == {}
-        for z in (x + y, x - y, -x, x.scale(CycNum(3, 1, 1)), x.scale(-2)):
+        outputs = [x, x + y, x - y, -x, x.scale(CycNum(3, 1, 1)), x.scale(-2)]
+        if ops is not None:
+            bracket, sigma = ops
+            outputs += [bracket(x, y), sigma(x)]
+            # [x, x] cancels term by term through antisymmetry
+            assert bracket(x, x).terms == {}
+        for z in outputs:
             assert all(z.terms.values())
         total = x + y
         cancelled += len(x.terms) + len(y.terms) - len(total.terms) > 0
         assert total - y == x
         assert (total == x) == (not y)
-    assert cancelled > 0
+    assert cancelled > 0 and drawn_zero > 0
+    if ops is not None:
+        bracket, sigma = ops
+        h = make({keys[0]: one, keys[1]: CycNum(3, 2)})
+        e = make({keys[3]: one})
+        assert bracket(h, e).terms == {} and bracket(e, h).terms == {}
     if make_other is not None:
         x = make({keys[0]: CycNum.one(3)})
         foreign = make_other({keys[0]: CycNum.one(2)})

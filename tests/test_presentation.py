@@ -396,3 +396,15 @@ def test_span_slices_target_graded_dims():
     for (j, m), (got, full) in report.slices.items():
         assert full == alg.graded_dim(j % 2)
         assert got <= full
+
+
+def test_span_check_rejects_negative_windows():
+    from torlie import ConfigError
+
+    for kwargs in ({"j_window": -1}, {"m_window": -1}, {"word_length": -3}):
+        with pytest.raises(ConfigError):
+            span_check(A5, **kwargs)
+    # zero stays valid: the degree-0 slice alone, from the generators only
+    report = span_check(A5, j_window=0, m_window=0, word_length=0)
+    assert list(report.slices) == [(0, 0)]
+    assert report.word_length == 0 and report.generators > 0

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import TWISTED_SPECS
 from torlie import AlgebraSpec, get_algebra
-from torlie.kahler import Bs, Bt, C0, KahlerElem
+from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
+from torlie.liealg import LieElem
+from torlie.rootdata import build_cartan, enumerate_roots
 from torlie.toroidal import (
     LoopElem,
     ToroidalElem,
@@ -143,6 +145,34 @@ def test_toroidal_bracket_examples():
     assert got == ToroidalElem(
         LoopElem.zero(alg), KahlerElem({Bs(1, 1): alg.scalar(-1)})
     )
+
+
+@pytest.mark.parametrize("spec", [A5, AlgebraSpec("D", 4, 3)], ids=lambda s: s.name)
+def test_form_and_cocycle_match_the_cartan_matrix(spec):
+    # oracle read straight from the root data: (h_i|h_j) = A'_ij,
+    # (e_a|e_-a) = 1 and every other pair of basis vectors 0
+    alg = get_algebra(spec)
+    A = build_cartan(spec).A_prime
+    N = alg.N
+    roots = enumerate_roots(spec)
+    negative = {b: N + roots.index(tuple(-c for c in roots[b - N]))
+                for b in range(N, alg.dim)}
+    degrees = (((1, -1), (-1, 1)), ((2, 1), (0, -1)), ((0, 2), (1, -2)))
+    for b1 in range(alg.dim):
+        x = LieElem.basis(alg, b1)
+        for b2 in range(alg.dim):
+            y = LieElem.basis(alg, b2)
+            if b1 < N and b2 < N:
+                want = A[b1][b2]
+            else:
+                want = int(b1 >= N and negative[b1] == b2)
+            assert alg.form(x, y) == alg.scalar(want)
+            # the central part of the bracket of one-term elements
+            (j1, m1), (j2, m2) = degrees[(b1 + b2) % len(degrees)]
+            got = toroidal_bracket(ToroidalElem(LoopElem.from_lie(x, j1, m1)),
+                                   ToroidalElem(LoopElem.from_lie(y, j2, m2)))
+            assert got.central == reduce_b_da((j2, m2), (j1, m1), spec.r).scale(
+                alg.form(x, y))
 
 
 def test_twisted_validation():
