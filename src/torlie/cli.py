@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .liealg import get_algebra
 from .presentation import (
@@ -29,28 +28,6 @@ from .presentation import (
     verify_all,
 )
 from .rootdata import AlgebraSpec, ConfigError, build_cartan, enumerate_roots
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    family: str
-    n: int
-    r: int
-    window: int = 4
-    serre_cap: int = 2
-    format: str = "text"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.window < 1 or self.serre_cap < 1:
-            raise ConfigError("window and serre cap must be positive")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
-
-    def spec(self) -> AlgebraSpec:
-        return AlgebraSpec(self.family, self.n, self.r)
 
 
 class ExprError(ValueError):
@@ -140,10 +117,9 @@ def _matrix_rows(mat):
     return [list(row) for row in mat]
 
 
-def cmd_verify(config: RunConfig, out) -> int:
-    summary = verify_all(config.spec(), config.window, config.serre_cap,
-                         jobs=config.jobs)
-    if config.format == "json":
+def cmd_verify(spec: AlgebraSpec, args, out) -> int:
+    summary = verify_all(spec, args.window, args.serre_cap, jobs=args.jobs)
+    if args.format == "json":
         json.dump(summary.to_json_dict(), out, indent=2)
         out.write("\n")
     else:
@@ -156,8 +132,7 @@ def cmd_info(spec: AlgebraSpec, fmt: str, out) -> int:
     cd = build_cartan(spec)
     dims = {j: alg.graded_dim(j) for j in range(spec.r)}
     data = {
-        "algebra": {"family": spec.family, "n": spec.n, "r": spec.r, "N": spec.N,
-                    "folded_type": spec.folded_name},
+        "algebra": spec.to_json_dict(),
         "cartan_matrix": _matrix_rows(cd.A_prime),
         "folded_matrix": _matrix_rows(cd.A_folded),
         "extended_matrix": _matrix_rows(cd.A_ext),
@@ -225,25 +200,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = sys.stdout
     try:
-        config = RunConfig(
-            family=args.family,
-            n=args.n,
-            r=args.r,
-            window=getattr(args, "window", 4),
-            serre_cap=getattr(args, "serre_cap", 2),
-            format=getattr(args, "format", "text"),
-            jobs=getattr(args, "jobs", 1),
-        )
-        spec = config.spec()
+        spec = AlgebraSpec(args.family, args.n, args.r)
         if args.command == "verify":
-            return cmd_verify(config, out)
+            return cmd_verify(spec, args, out)
         if args.command == "info":
-            return cmd_info(spec, config.format, out)
+            return cmd_info(spec, args.format, out)
         if args.command == "bracket":
             return cmd_bracket(spec, args.lhs, args.rhs, out)
         if args.command == "span":
             return cmd_span(spec, args.j_window, args.m_window,
-                            args.word_length, config.format, out)
+                            args.word_length, args.format, out)
         if args.command == "dump-structure":
             return cmd_dump_structure(spec, out)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -222,19 +222,6 @@ def coeff_prefix(c: CycNum, symbol: str) -> str:
     return f"{s}*{symbol}"
 
 
-def signed_join(parts) -> str:
-    """Join signed terms as "a + b - c"; "0" when there are none."""
-    out = ""
-    for part in parts:
-        if not out:
-            out = part
-        elif part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out or "0"
-
-
 class SparseTerms:
     """Immutable sparse combination: `terms` maps a key to a CycNum.
 
@@ -262,8 +249,9 @@ class SparseTerms:
 
     # -- hooks of algebra-bound subclasses ------------------------------
 
-    def _new(self, terms: dict):
-        """A sibling element over the same space."""
+    def _new(self, terms: dict, other=None):
+        """A sibling element over the same space; `other` is the second
+        operand of a sum, for subclasses that carry more than terms."""
         return type(self)(terms)
 
     def _scalar(self, value):
@@ -273,6 +261,9 @@ class SparseTerms:
         return True
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
         if not self._same_space(other):
             raise ValueError("elements belong to different algebras")
 
@@ -284,7 +275,7 @@ class SparseTerms:
         for k, c in other.terms.items():
             s = terms.get(k)
             terms[k] = c if s is None else s + c
-        return self._new(terms)
+        return self._new(terms, other)
 
     def __sub__(self, other):
         return self + (-other)
@@ -316,8 +307,16 @@ class SparseTerms:
 
     def render(self) -> str:
         """Signed sum of coeff*symbol in key order; "0" when empty."""
-        return signed_join(coeff_prefix(self.terms[key], self._symbol(key))
-                           for key in sorted(self.terms, key=self._sort_key))
+        out = ""
+        for key in sorted(self.terms, key=self._sort_key):
+            part = coeff_prefix(self.terms[key], self._symbol(key))
+            if not out:
+                out = part
+            elif part.startswith("-"):
+                out += " - " + part[1:]
+            else:
+                out += " + " + part
+        return out or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()})"
@@ -333,7 +332,7 @@ class AlgebraTerms(SparseTerms):
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", MappingProxyType(drop_zeros(terms)))
 
-    def _new(self, terms: dict):
+    def _new(self, terms: dict, other=None):
         return type(self)(self.alg, terms)
 
     def _scalar(self, value):

@@ -133,10 +133,6 @@ class LieAlgebra:
         root = tuple(-1 if t == i - 1 else 0 for t in range(self.N))
         return self.root_vector(root)
 
-    def coroot(self, root) -> LieElem:
-        """h_alpha = sum of coordinate multiples of the h_i."""
-        return LieElem(self, {i: self.scalar(c) for i, c in enumerate(root)})
-
     def basis_name(self, b: int) -> str:
         if b < self.N:
             return f"h{b + 1}"
@@ -349,30 +345,24 @@ class LieAlgebra:
         theta = highest_root(self.spec)
         f0 = self.root_vector(theta)
         e0 = self.root_vector(tuple(-c for c in theta))
-        flipped = False
         h0 = self.bracket(e0, f0)
         if self.bracket(h0, e0) != e0 * 2:
             e0 = -e0
             h0 = self.bracket(e0, f0)
-            flipped = True
         if self.bracket(h0, e0) != e0 * 2 or self.bracket(h0, f0) != f0 * (-2):
             raise AssertionError("highest-root sl2 normalization failed")
         fixed = True
         if self.spec.r > 1:
             fixed = self.sigma(e0) == e0 and self.sigma(f0) == f0
-        return (e0, f0, h0, flipped, fixed)
+        return (e0, f0, h0, fixed)
 
     def theta_triple(self):
         """(e0, f0, h0) attached to the highest root, [h0,e0] = 2 e0."""
         return self._theta[:3]
 
     @property
-    def theta_sign_flipped(self) -> bool:
-        return self._theta[3]
-
-    @property
     def sigma_fixes_theta(self) -> bool:
-        return self._theta[4]
+        return self._theta[3]
 
 
 @lru_cache(maxsize=None)

@@ -374,15 +374,15 @@ def enumerate_cases(spec: AlgebraSpec, family: str, window: int,
 # two-sided evaluation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _zero(spec) -> ToroidalElem:
     return ToroidalElem.zero(get_algebra(spec))
 
 
 def _central_c(spec, coeff) -> ToroidalElem:
     """coeff times the image of the central generator."""
-    alg = get_algebra(spec)
-    return ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: alg.scalar(coeff)}),
-                        twisted=True, validate=False)
+    zero = _zero(spec)
+    return zero._new({C0: zero.alg.scalar(coeff)})
 
 
 def _x(spec, sign, i, k) -> ToroidalElem:
@@ -477,13 +477,7 @@ class VerifySummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "algebra": {
-                "family": self.spec.family,
-                "n": self.spec.n,
-                "r": self.spec.r,
-                "N": self.spec.N,
-                "folded_type": self.spec.folded_name,
-            },
+            "algebra": self.spec.to_json_dict(),
             "window": self.window,
             "serre_cap": self.serre_cap,
             "serre_exceptions": serre_exceptions(self.spec),
@@ -533,6 +527,10 @@ def verify_all(spec: AlgebraSpec, window: int, serre_cap: int = 2,
     The sweep runs in a pool of min(jobs, cores, cases) processes when
     that is more than one, and in this process otherwise.
     """
+    if window < 1 or serre_cap < 1:
+        raise ConfigError("window and serre cap must be positive")
+    if jobs < 1:
+        raise ConfigError("jobs must be positive")
     families = families_for(spec)
     per_family = [sorted(enumerate_cases(spec, f, window, serre_cap),
                          key=RelationId.sort_key) for f in families]
@@ -633,9 +631,7 @@ class SpanReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "algebra": {"family": self.spec.family, "n": self.spec.n,
-                        "r": self.spec.r, "N": self.spec.N,
-                        "folded_type": self.spec.folded_name},
+            "algebra": self.spec.to_json_dict(),
             "j_window": self.j_window,
             "m_window": self.m_window,
             "word_length": self.word_length,

@@ -81,6 +81,11 @@ class AlgebraSpec:
             return "G2"
         return f"B{self.n}"
 
+    def to_json_dict(self) -> dict:
+        """The algebra header of every JSON report."""
+        return {"family": self.family, "n": self.n, "r": self.r, "N": self.N,
+                "folded_type": self.folded_name}
+
 
 @dataclass(frozen=True)
 class CartanData:

@@ -2,13 +2,15 @@
 extended bracket.
 
 A LoopElem is a sparse combination of basis_vector (x) s^j t^m terms.
-A ToroidalElem pairs a LoopElem with a central KahlerElem.  The bracket
+A ToroidalElem is one sparse map over the extended algebra: loop keys
+(basis index, j, m) next to the central KSym keys of the Kahler
+differentials.  The bracket
 
     [x (x) s^j t^m, y (x) s^k t^l]
         = [x,y] (x) s^(j+k) t^(m+l)  +  (x|y) * class of (s^k t^l) d(s^j t^m)
 
-annihilates central parts.  Elements tagged as twisted are validated
-eagerly: the loop part must be fixed by the twisted automorphism and
+annihilates central terms.  Elements tagged as twisted are validated
+eagerly: the loop terms must be fixed by the twisted automorphism and
 every central symbol must have s-degree divisible by the twist order.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import AlgebraTerms, omega_pow, signed_join
+from .coeff import AlgebraTerms, omega_pow
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
@@ -48,13 +50,20 @@ class LoopElem(AlgebraTerms):
         return (j, m, b)
 
 
-def loop_bracket(x: LoopElem, y: LoopElem) -> LoopElem:
+def _loop_terms(x) -> list:
+    """The (b, j, m) terms of x, leaving out any central KSym keys."""
+    return [(key, c) for key, c in x.terms.items() if type(key) is tuple]
+
+
+def loop_bracket(x, y) -> LoopElem:
+    """Bracket of the loop terms of two LoopElems or ToroidalElems."""
     x._check(y)
     alg = x.alg
     table = alg._table
+    loop_y = _loop_terms(y)
     terms: dict = {}
-    for (b1, j1, m1), c1 in x.terms.items():
-        for (b2, j2, m2), c2 in y.terms.items():
+    for (b1, j1, m1), c1 in _loop_terms(x):
+        for (b2, j2, m2), c2 in loop_y:
             entry = table.get((b1, b2))
             if not entry:
                 continue
@@ -67,17 +76,19 @@ def loop_bracket(x: LoopElem, y: LoopElem) -> LoopElem:
     return LoopElem(alg, terms)
 
 
+def _sigma_term(alg: LieAlgebra, key: tuple, c):
+    """(key, coefficient) of the image of one loop term under sigma_bar."""
+    b, j, m = key
+    b2, s = alg.sigma_basis(b)
+    v = c * omega_pow(alg.spec.r, -j)
+    return (b2, j, m), (v if s == 1 else -v)
+
+
 def sigma_bar(x: LoopElem) -> LoopElem:
     """Twisted automorphism: basis automorphism times omega^(-j)."""
     alg = x.alg
-    r = alg.spec.r
     # a signed permutation of the basis keeps (j, m): keys never collide
-    terms: dict = {}
-    for (b, j, m), c in x.terms.items():
-        b2, s = alg.sigma_basis(b)
-        v = c * omega_pow(r, -j)
-        terms[(b2, j, m)] = v if s == 1 else -v
-    return LoopElem(alg, terms)
+    return LoopElem(alg, dict(_sigma_term(alg, key, c) for key, c in x.terms.items()))
 
 
 def fix_project(x: LoopElem) -> LoopElem:
@@ -91,88 +102,87 @@ def fix_project(x: LoopElem) -> LoopElem:
     return acc * Fraction(1, r)
 
 
-class ToroidalElem:
-    """Loop part plus central part of the extended algebra; immutable."""
+class ToroidalElem(AlgebraTerms):
+    """Sparse map over the extended algebra: loop keys (b, j, m) and
+    central KSym keys.  A twisted element is validated when constructed;
+    sums and multiples of twisted elements are twisted without a check.
+    """
 
-    __slots__ = ("loop", "central", "twisted")
+    __slots__ = ("twisted",)
 
     def __init__(self, loop: LoopElem, central: KahlerElem | None = None,
-                 twisted: bool = False, validate: bool = True):
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "central",
-                           central if central is not None else KahlerElem())
+                 twisted: bool = False):
+        terms = dict(loop.terms)
+        if central is not None:
+            terms.update(central.terms)
+        AlgebraTerms.__init__(self, loop.alg, terms)
         object.__setattr__(self, "twisted", twisted)
-        if twisted and validate:
+        if twisted:
             self.validate_twisted()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToroidalElem is immutable")
-
-    def validate_twisted(self):
-        r = self.loop.alg.spec.r
-        if sigma_bar(self.loop) != self.loop:
-            raise ValueError("loop part is not fixed by the twisted automorphism")
-        for sym in self.central.terms:
-            if sym.s_degree() % r:
-                raise ValueError(
-                    f"central symbol {sym.render()} has s-degree not divisible by {r}"
-                )
+    def _new(self, terms: dict, other=None):
+        out = object.__new__(ToroidalElem)
+        AlgebraTerms.__init__(out, self.alg, terms)
+        twisted = self.twisted and (other is None or other.twisted)
+        object.__setattr__(out, "twisted", twisted)
+        return out
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "ToroidalElem":
-        return cls(LoopElem.zero(alg), KahlerElem(), twisted=True, validate=False)
+        return cls(LoopElem.zero(alg), twisted=True)
 
-    def _wrap(self, loop, central):
-        return ToroidalElem(loop, central, twisted=self.twisted, validate=False)
+    @property
+    def loop(self) -> LoopElem:
+        return LoopElem(self.alg, dict(_loop_terms(self)))
 
-    def __add__(self, other: "ToroidalElem") -> "ToroidalElem":
-        out = ToroidalElem(self.loop + other.loop, self.central + other.central,
-                           twisted=self.twisted and other.twisted, validate=False)
-        return out
+    @property
+    def central(self) -> KahlerElem:
+        return KahlerElem({k: c for k, c in self.terms.items() if type(k) is not tuple})
 
-    def __sub__(self, other):
-        return ToroidalElem(self.loop - other.loop, self.central - other.central,
-                            twisted=self.twisted and other.twisted, validate=False)
+    def validate_twisted(self):
+        # sigma_bar permutes the loop keys and keeps values nonzero, so it
+        # fixes the loop terms exactly when it maps each one into the map
+        alg = self.alg
+        r = alg.spec.r
+        terms = self.terms
+        for key, c in terms.items():
+            if type(key) is tuple:
+                image, v = _sigma_term(alg, key, c)
+                if terms.get(image) != v:
+                    raise ValueError(
+                        "loop part is not fixed by the twisted automorphism")
+            elif key.s_degree() % r:
+                raise ValueError(
+                    f"central symbol {key.render()} has s-degree not divisible by {r}"
+                )
 
-    def __neg__(self):
-        return self._wrap(-self.loop, -self.central)
+    def _symbol(self, key) -> str:
+        return LoopElem._symbol(self, key) if type(key) is tuple else key.render()
 
-    def __mul__(self, scalar):
-        c = self.loop.alg.scalar(scalar)
-        return self._wrap(self.loop * c, self.central.scale(c))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ToroidalElem):
-            return NotImplemented
-        return self.loop == other.loop and self.central == other.central
-
-    def __bool__(self):
-        return bool(self.loop) or bool(self.central)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def __repr__(self):
-        return f"ToroidalElem({self.render()})"
-
-    def render(self) -> str:
-        return signed_join(part.render() for part in (self.loop, self.central) if part)
+    def _sort_key(self, key):
+        # loop terms first, in LoopElem order; then the central symbols
+        if type(key) is tuple:
+            return (0,) + LoopElem._sort_key(self, key)
+        return (1, key)
 
 
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     """Bracket with the differential 2-cocycle; central inputs die."""
-    x.loop._check(y.loop)
-    alg = x.loop.alg
+    alg = x.alg
     r = alg.spec.r
-    loop = loop_bracket(x.loop, y.loop)
-    central = KahlerElem()
+    terms = dict(loop_bracket(x, y).terms)
     form = alg._form
-    for (b1, j1, m1), c1 in x.loop.terms.items():
-        for (b2, j2, m2), c2 in y.loop.terms.items():
+    loop_y = _loop_terms(y)
+    for (b1, j1, m1), c1 in _loop_terms(x):
+        for (b2, j2, m2), c2 in loop_y:
             pairing = form.get((b1, b2))
-            if pairing is not None:
-                central = central + reduce_b_da((j2, m2), (j1, m1), r).scale(
-                    c1 * c2 * pairing)
-    return ToroidalElem(loop, central, twisted=x.twisted and y.twisted)
+            if pairing is None:
+                continue
+            c = c1 * c2 * pairing
+            for sym, v in reduce_b_da((j2, m2), (j1, m1), r).terms.items():
+                s = terms.get(sym)
+                terms[sym] = v * c if s is None else s + v * c
+    out = x._new(terms, y)
+    if out.twisted:
+        out.validate_twisted()
+    return out

@@ -127,25 +127,40 @@ def _sparse_kinds():
     from torlie import AlgebraSpec, get_algebra
     from torlie.kahler import Bs, Bt, C0, KahlerElem
     from torlie.liealg import LieElem
-    from torlie.toroidal import LoopElem, loop_bracket, sigma_bar
+    from torlie.toroidal import (
+        LoopElem,
+        ToroidalElem,
+        loop_bracket,
+        sigma_bar,
+        toroidal_bracket,
+    )
 
     g2 = get_algebra(AlgebraSpec("D", 4, 3))
     other = get_algebra(AlgebraSpec("D", 3, 2))
+
+    def toroidal(alg):
+        # one map over the extended algebra: loop keys next to central ones
+        return lambda t: ToroidalElem(
+            LoopElem(alg, {k: c for k, c in t.items() if type(k) is tuple}),
+            KahlerElem({k: c for k, c in t.items() if type(k) is not tuple}))
+
     # kind -> (keys, element builder, builder over a second algebra or None,
     #          bracket and automorphism of the kind or None)
     # h1 + 2*h2 pairs to zero with alpha_1, so its bracket with e_alpha1 cancels
     lie_keys = (0, 1, g2.N, g2.N + g2.root_index[(1, 0, 0, 0)])
+    loop_keys = ((0, 0, 0), (1, 0, 0), (g2.N, 1, 0), (lie_keys[3], -1, 2))
     return {
         "LieElem": (lie_keys, lambda t: LieElem(g2, t), lambda t: LieElem(other, t),
                     (g2.bracket, g2.sigma)),
-        "LoopElem": (((0, 0, 0), (1, 0, 0), (g2.N, 1, 0), (lie_keys[3], -1, 2)),
-                     lambda t: LoopElem(g2, t), lambda t: LoopElem(other, t),
+        "LoopElem": (loop_keys, lambda t: LoopElem(g2, t), lambda t: LoopElem(other, t),
                      (loop_bracket, sigma_bar)),
+        "ToroidalElem": (loop_keys + (C0, Bt(1)), toroidal(g2), toroidal(other),
+                         (toroidal_bracket, None)),
         "KahlerElem": ((C0, Bt(1), Bs(0, 1)), KahlerElem, None, None),
     }
 
 
-@pytest.mark.parametrize("kind", ["LieElem", "LoopElem", "KahlerElem"])
+@pytest.mark.parametrize("kind", ["LieElem", "LoopElem", "KahlerElem", "ToroidalElem"])
 def test_sparse_terms_never_store_zero(kind):
     import random
 
@@ -157,6 +172,8 @@ def test_sparse_terms_never_store_zero(kind):
     assert make({keys[0]: zero}) == make({})
     assert make({keys[0]: zero}).render() == "0"
     assert make({keys[0]: zero, keys[1]: one}) == make({keys[1]: one})
+    assert make({key: zero for key in keys}) == make({})
+    assert make({keys[-1]: zero, keys[1]: one}).terms == {keys[1]: one}
 
     drawn_zero = 0
 
@@ -178,7 +195,7 @@ def test_sparse_terms_never_store_zero(kind):
         outputs = [x, x + y, x - y, -x, x.scale(CycNum(3, 1, 1)), x.scale(-2)]
         if ops is not None:
             bracket, sigma = ops
-            outputs += [bracket(x, y), sigma(x)]
+            outputs += [bracket(x, y)] + ([sigma(x)] if sigma else [])
             # [x, x] cancels term by term through antisymmetry
             assert bracket(x, x).terms == {}
         for z in outputs:
@@ -199,3 +216,11 @@ def test_sparse_terms_never_store_zero(kind):
         for op in (lambda: x + foreign, lambda: x - foreign, lambda: foreign + x):
             with pytest.raises(ValueError):
                 op()
+    # an element of another kind is refused, even over the same algebra
+    stranger_keys, make_stranger = _sparse_kinds()[
+        "LoopElem" if kind != "LoopElem" else "ToroidalElem"][:2]
+    stranger = make_stranger({stranger_keys[0]: one})
+    x = make({keys[0]: one})
+    for op in (lambda: x + stranger, lambda: x - stranger, lambda: stranger + x):
+        with pytest.raises(TypeError):
+            op()

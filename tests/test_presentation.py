@@ -408,3 +408,11 @@ def test_span_check_rejects_negative_windows():
     report = span_check(A5, j_window=0, m_window=0, word_length=0)
     assert list(report.slices) == [(0, 0)]
     assert report.word_length == 0 and report.generators > 0
+
+
+def test_verify_all_rejects_nonpositive_parameters():
+    from torlie import ConfigError
+
+    for kwargs in ({"window": 0}, {"serre_cap": 0}, {"jobs": 0}):
+        with pytest.raises(ConfigError):
+            verify_all(A5, **{"window": 1, **kwargs})

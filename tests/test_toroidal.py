@@ -21,7 +21,7 @@ A5 = AlgebraSpec("A", 3, 2)
 
 
 def loop(alg, *terms):
-    return LoopElem(alg, {key: alg.scalar(c) for key, c in terms if c})
+    return LoopElem(alg, {key: alg.scalar(c) for key, c in terms})
 
 
 def rand_loop(alg, rng, size=4):
@@ -29,9 +29,8 @@ def rand_loop(alg, rng, size=4):
     for _ in range(size):
         key = (rng.randrange(alg.dim), rng.randint(-3, 3), rng.randint(-2, 2))
         c = alg.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        if c:
-            terms[key] = terms.get(key, alg.zero_scalar) + c
-    return LoopElem(alg, {k: v for k, v in terms.items() if v})
+        terms[key] = terms.get(key, alg.zero_scalar) + c
+    return LoopElem(alg, terms)
 
 
 def rand_fixed(alg, rng):
@@ -43,7 +42,6 @@ def rand_fixed(alg, rng):
             C0: alg.scalar(rng.randint(-3, 3)),
             Bt(r * rng.randint(-2, 2)): alg.scalar(rng.randint(-3, 3)),
         })
-        central = KahlerElem({k: v for k, v in central.terms.items() if v})
     return ToroidalElem(x, central, twisted=True)
 
 
@@ -188,6 +186,30 @@ def test_twisted_validation():
         )
     # the projection is accepted
     ToroidalElem(fix_project(not_fixed), twisted=True)
+
+    # the term-by-term check accepts exactly the loops sigma_bar fixes
+    for spec in TWISTED_SPECS:
+        alg = get_algebra(spec)
+        rng = random.Random(5 * spec.N + spec.r)
+        for _ in range(20):
+            raw = rand_loop(alg, rng)
+            fixed = fix_project(raw)
+            dropped = LoopElem(alg, dict(list(fixed.terms.items())[1:]))
+            for x in (raw, fixed, dropped, fixed + raw):
+                try:
+                    ToroidalElem(x, twisted=True)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (sigma_bar(x) == x)
+            assert sigma_bar(fixed) == fixed
+
+    # a sum or difference with an untwisted element is untwisted
+    fixed = ToroidalElem(fix_project(not_fixed), twisted=True)
+    plain = ToroidalElem(not_fixed)
+    for a, b in ((fixed, plain), (plain, fixed)):
+        assert not (a + b).twisted and not (a - b).twisted
+    assert (fixed + fixed).twisted and (fixed - fixed * 3).twisted and (-fixed).twisted
 
 
 def test_loop_elements_are_immutable():
