@@ -54,18 +54,10 @@ class GenSym:
 
 
 def degree_modulus(spec: AlgebraSpec, i: int) -> int:
-    """Step of the admissible degree lattice for generator index i."""
+    """Degree step of generator index i: r at 0, r/|orbit(i)| elsewhere."""
     if not 0 <= i <= spec.pres_rank:
         raise ConfigError(f"generator index {i} out of range for {spec.name}")
-    if spec.r == 1:
-        return 1
-    if i == 0:
-        return spec.r
-    if spec.family == "A":
-        return 2 if i == spec.pres_rank else 1
-    if spec.r == 3:
-        return 3 if i == 2 else 1
-    return 1 if i == spec.pres_rank else 2
+    return spec.r if i == 0 else spec.r // len(orbit(spec, i))
 
 
 def admissible(spec: AlgebraSpec, gen: GenSym) -> bool:
@@ -299,41 +291,17 @@ def _degs(spec: AlgebraSpec, i: int, window: int):
 
 @lru_cache(maxsize=None)
 def serre_matrix(spec: AlgebraSpec) -> tuple:
-    """Pairing of each generator weight against the orbit-summed coroots.
+    """The pairing matrix S, read from `build_cartan(spec).pairing`.
 
-    Entry (p, m) is the sum over the sigma-orbit of p of the form values
-    (weight_m | alpha'_u), where weight_0 is minus the highest root.
-    This matrix governs the ad-nilpotency depth of X(+-a_p, .) acting on
-    X(+-a_m, .): the depth-(1 - S_pm) iterated bracket vanishes at every
-    admissible degree tuple, and no shallower depth does so uniformly.
-    It coincides with the extended matrix except at pairs whose p-orbit
-    is twisted while weight_m pairs nontrivially with several orbit
-    nodes; `serre_exceptions` reports those entries.
+    Entry (p, m) is (weight_m | sum of alpha'_u over the sigma-orbit of
+    p), where weight_0 is minus the highest root.  S governs the
+    ad-nilpotency depth of X(+-a_p, .) acting on X(+-a_m, .): the
+    depth-(1 - S_pm) iterated bracket vanishes at every admissible
+    degree tuple, and no shallower depth does so uniformly.  The
+    extended matrix mirrors column 0 from row 0, so it departs from S
+    only at entries (p, 0); `serre_exceptions` reports those entries.
     """
-    from .rootdata import root_form
-
-    cd = build_cartan(spec)
-    N, n = spec.N, spec.pres_rank
-    minus_theta = tuple(-c for c in cd.theta)
-
-    def rep_root(m):
-        if m == 0:
-            return minus_theta
-        return tuple(1 if t == m - 1 else 0 for t in range(N))
-
-    def orbit_roots(p):
-        if p == 0:
-            return [minus_theta]
-        return [rep_root(u) for u in orbit(spec, p)]
-
-    rows = []
-    for p in range(n + 1):
-        row = []
-        for m in range(n + 1):
-            val = sum(root_form(rep_root(m), beta, spec) for beta in orbit_roots(p))
-            row.append(int(val))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return build_cartan(spec).pairing
 
 
 def serre_exceptions(spec: AlgebraSpec) -> list:

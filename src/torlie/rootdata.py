@@ -3,9 +3,9 @@
 Supported inputs are A_{2n-1} (twist order 1 or 2), D_{n+1} (twist order
 1 or 2) and D_4 with the order-3 triality twist.  This module owns the
 finite Cartan matrix, the diagram automorphism as an index permutation,
-root-system enumeration, the highest root, the folded Cartan matrix of
-the fixed-point subalgebra, its d-vector, and the extended matrix that
-adjoins the affine node 0.
+root-system enumeration and the highest root.  The folding data (the
+folded Cartan matrix, its d-vector and the extended matrix with the
+affine node 0) are all read off one pairing over sigma's orbits.
 """
 
 from __future__ import annotations
@@ -92,13 +92,17 @@ class CartanData:
     """All index-level data attached to a spec.
 
     Matrices are tuples of tuples of ints.  `sigma` is the diagram
-    automorphism as a 1-based permutation tuple (entry 0 unused).
-    `A_folded` and `d` are indexed by I = {1..pres_rank}; `A_ext`
-    adjoins index 0.  `theta` is the highest root.
+    automorphism as a 1-based permutation tuple (entry 0 unused) and
+    `theta` the highest root.  `pairing` is the one computed folding
+    matrix, S[p][m] = (w_m | c_p) for p, m = 0..pres_rank, with
+    w_0 = c_0 = -theta, w_m = alpha_m and c_p the sum of alpha_u over
+    the sigma-orbit of p.  `A_folded` is S without row and column 0,
+    `A_ext` is S with column 0 replaced by row 0, and d_i = 1/|orbit(i)|.
     """
 
     A_prime: tuple
     sigma: tuple
+    pairing: tuple
     A_folded: tuple
     A_ext: tuple
     d: tuple
@@ -131,15 +135,18 @@ def _sigma_perm(spec: AlgebraSpec) -> tuple:
     return tuple(perm)
 
 
-def orbit(spec: AlgebraSpec, node: int) -> tuple:
-    """The distinct sigma-orbit of a node, starting at the node itself."""
-    perm = build_cartan(spec).sigma
+def _orbit(perm: tuple, node: int) -> tuple:
     out = [node]
     j = perm[node]
     while j != node:
         out.append(j)
         j = perm[j]
     return tuple(out)
+
+
+def orbit(spec: AlgebraSpec, node: int) -> tuple:
+    """The distinct sigma-orbit of a node, starting at the node itself."""
+    return _orbit(build_cartan(spec).sigma, node)
 
 
 def _theta_coords(spec: AlgebraSpec) -> Root:
@@ -151,45 +158,9 @@ def _theta_coords(spec: AlgebraSpec) -> Root:
     return tuple([1] + [2] * (n - 2) + [1, 1])
 
 
-def _folded_matrix(spec: AlgebraSpec, A_prime) -> tuple:
-    if spec.r == 1:
-        return A_prime
-    nn = spec.pres_rank
-    A = [[0] * nn for _ in range(nn)]
-    for i in range(nn):
-        A[i][i] = 2
-    for i in range(nn - 1):
-        A[i][i + 1] = A[i + 1][i] = -1
-    if spec.family == "A":  # C_n
-        A[nn - 2][nn - 1] = -2
-    elif spec.r == 3:  # G_2
-        A[0][1] = -3
-    else:  # B_n
-        A[nn - 1][nn - 2] = -2
-    return tuple(tuple(row) for row in A)
-
-
-def _extended_matrix(spec: AlgebraSpec, A_folded, theta, A_prime) -> tuple:
-    nn = spec.pres_rank
-    ext = [[0] * (nn + 1) for _ in range(nn + 1)]
-    ext[0][0] = 2
-    for i in range(nn):
-        for j in range(nn):
-            ext[i + 1][j + 1] = A_folded[i][j]
-    if spec.r == 1:
-        # affine node pairing computed from the highest root
-        for j in range(1, nn + 1):
-            v = -sum(theta[i] * A_prime[i][j - 1] for i in range(spec.N))
-            ext[0][j] = ext[j][0] = v
-    else:
-        attach = 1 if spec.family == "A" else 2
-        ext[0][attach] = ext[attach][0] = -1
-    return tuple(tuple(row) for row in ext)
-
-
 @lru_cache(maxsize=None)
 def build_cartan(spec: AlgebraSpec) -> CartanData:
-    N = spec.N
+    N, n = spec.N, spec.pres_rank
     A = [[0] * N for _ in range(N)]
     for i in range(N):
         A[i][i] = 2
@@ -197,32 +168,35 @@ def build_cartan(spec: AlgebraSpec) -> CartanData:
         A[i - 1][j - 1] = A[j - 1][i - 1] = -1
     A_prime = tuple(tuple(row) for row in A)
     sigma = _sigma_perm(spec)
-
-    if spec.r == 1:
-        d = tuple([Fraction(1)] * N)
-    elif spec.family == "A":
-        d = tuple([Fraction(1, 2)] * (spec.n - 1) + [Fraction(1)])
-    elif spec.r == 3:
-        d = (Fraction(1, 3), Fraction(1))
-    else:
-        d = tuple([Fraction(1)] * (spec.n - 1) + [Fraction(1, 2)])
-
     theta = _theta_coords(spec)
-    A_folded = _folded_matrix(spec, A_prime)
-    A_ext = _extended_matrix(spec, A_folded, theta, A_prime)
-    return CartanData(A_prime, sigma, A_folded, A_ext, d, theta)
+
+    orbits = [_orbit(sigma, p) for p in range(1, n + 1)]
+    minus_theta = tuple(-c for c in theta)
+    weights = [minus_theta] + [tuple(int(t == m) for t in range(1, N + 1))
+                               for m in range(1, n + 1)]
+    coroots = [minus_theta] + [tuple(int(t in nodes) for t in range(1, N + 1))
+                               for nodes in orbits]
+    S = tuple(tuple(_form(A_prime, w, c) for w in weights) for c in coroots)
+    A_folded = tuple(row[1:] for row in S[1:])
+    A_ext = tuple((S[0][p],) + S[p][1:] for p in range(n + 1))
+    d = tuple(Fraction(1, len(nodes)) for nodes in orbits)
+    return CartanData(A_prime, sigma, S, A_folded, A_ext, d, theta)
 
 
-def root_form(a, b, spec: AlgebraSpec) -> Fraction:
-    """Invariant bilinear form of two coordinate vectors, (alpha|alpha)=2."""
-    A = build_cartan(spec).A_prime
-    N = spec.N
-    total = Fraction(0)
+def _form(A, a, b):
+    """sum_ij a_i A_ij b_j over the nonzero coordinates of a and b."""
+    N = len(A)
+    total = 0
     for i in range(N):
         if not a[i]:
             continue
         total += a[i] * sum(A[i][j] * b[j] for j in range(N) if b[j])
     return total
+
+
+def root_form(a, b, spec: AlgebraSpec) -> Fraction:
+    """Invariant bilinear form of two coordinate vectors, (alpha|alpha)=2."""
+    return Fraction(_form(build_cartan(spec).A_prime, a, b))
 
 
 @lru_cache(maxsize=None)

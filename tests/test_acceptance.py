@@ -187,11 +187,9 @@ def _random_fixed(alg, rng):
     for _ in range(4):
         key = (rng.randrange(alg.dim), rng.randint(-3, 3), rng.randint(-2, 2))
         c = alg.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        if c:
-            terms[key] = terms.get(key, alg.zero_scalar) + c
-    x = fix_project(LoopElem(alg, {k: v for k, v in terms.items() if v}))
+        terms[key] = terms.get(key, alg.zero_scalar) + c
+    x = fix_project(LoopElem(alg, terms))
     central = KahlerElem({C0: alg.scalar(rng.randint(-2, 2))})
-    central = KahlerElem({k: v for k, v in central.terms.items() if v})
     return ToroidalElem(x, central, twisted=True)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -94,6 +95,49 @@ def test_info_triality(capsys):
     code, out, _ = run(capsys, "info", "--family", "D", "--n", "3", "--r", "2")
     assert code == 0
     assert "folded type B3" in out
+
+
+# SHA-256 of `info` text followed by `info --format json`: pins the Cartan
+# and folding data, also at ranks no acceptance configuration reaches
+INFO_DIGESTS = {
+    ("A", 2, 1): "9bb00e3b2083491345f9182081f43c884d82a0ba7a7adffc316ffda37047f7fd",
+    ("A", 2, 2): "4d0c2d5c7c9b3c276ea78cc406b73cccd27bf0c2a23f865adfbd5677566d8835",
+    ("A", 3, 1): "bcaa993c4efb5a584feccf4fd6521c786ffdc803708cbdb0d3729479066b69b6",
+    ("A", 3, 2): "c17a5b2f585f3987dd3d7c6ff20515099cdeacd938e515da5745f59a5110ec35",
+    ("A", 4, 1): "902a7358ac0ad92b1c3448aa27c43cf9a48df3057c6ca933aa288f9ac3e7e181",
+    ("A", 4, 2): "1ce470d07fd115b8d7388b8edf7f9ab97b45ec4917b31202b6ce43e10cc41ccb",
+    ("A", 5, 1): "4d11c74f1b60c00c199228ffac8592b2a4f44fd61301330fb538eb64a9c2265b",
+    ("A", 5, 2): "b1d9c585c8ed080b4d7543b4e8f0ff0da96aba88f25cf568327a736f27e287b2",
+    ("A", 6, 1): "870315177a1121ccd3ef3e6bb4b0d5145d64667ad17a2bb088042bb3baefea6e",
+    ("A", 6, 2): "8174cfe98c74356a1dd7df326c0aa2a764c080d5515d0dd62e094e9cfce6ef16",
+    ("A", 7, 1): "8aa2e6f8c501fe51bdf2f1120fadb57f6f65a09878bdb2f701cd1b3033d4ed7b",
+    ("A", 7, 2): "a76fe43f2eb8ba85d70112a08c4ef6a607598743cc9e21dafc31ab7ca36e9e34",
+    ("D", 2, 1): "0f313ea65b101f71722a9e7de853c96dbe5fec2e70484c498f6b1020f0b2f56f",
+    ("D", 2, 2): "d81f676f62f3dfa3eef1f8ff9b33b96f120dab2aa21e8d65c631f2d00e23d83e",
+    ("D", 3, 1): "21c197f88aae0efd1c27fc77149a4eaf25d50933fd22e0a91492b5f7b0c8b313",
+    ("D", 3, 2): "2017d4006464b1af860734a13b58e698a8c2179b88f96ff4afb26605c22d57e2",
+    ("D", 4, 1): "79b22411910e9bf1ecdf6d55d04561de35a2ddf8fee918358bff6a2f541019c1",
+    ("D", 4, 2): "332ab5b206bdb5336ba8dceed3b88781333b1114b2ad3ac5e361630a79cabc24",
+    ("D", 5, 1): "067f342cc2859bbdcf139e641b8b84e9371fa887d621dc6c79b34c1ca5e2a005",
+    ("D", 5, 2): "838be4ef4ae4cba3921bc621ea54c28a55f0b13409c98356047ac713a217f3e1",
+    ("D", 6, 1): "de900eb0ad76b56c90247a7f1ee54ebb53872e27cc652118a6d1f5f07655f4dd",
+    ("D", 6, 2): "679be2a0c63e297a1c04270dd4fc3ba21a44f27dc5b8a0e671bcf9a8ba443e65",
+    ("D", 7, 1): "974e4e9868a5937ca810c68ac73ce0ae88e613cd66262606d8c2848b288891f5",
+    ("D", 7, 2): "dd00bfb340b4e744945d81f4748fb8cfac01698ada7e1f31ab078aa0837a7827",
+    ("D", 4, 3): "0f0dea32212b2e95a90b5c85acb5adf5e79ae08e99aabd9fba311c76d1478fe8",
+}
+
+
+@pytest.mark.parametrize("key", sorted(INFO_DIGESTS))
+def test_info_is_pinned(capsys, key):
+    family, n, r = key
+    out = ""
+    for fmt in ("text", "json"):
+        code, text, err = run(capsys, "info", "--family", family, "--n", str(n),
+                              "--r", str(r), "--format", fmt)
+        assert code == 0 and err == ""
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == INFO_DIGESTS[key]
 
 
 def test_bracket_examples(capsys):

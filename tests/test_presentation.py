@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -177,6 +178,32 @@ def test_depth_two_fails_at_twisted_affine_pair():
     # mixed parity does vanish at depth 2
     x12 = psi_image(GenSym("x+", 1, 2), A5)
     assert toroidal_bracket(x12, toroidal_bracket(x11, x10)).is_zero()
+
+
+@pytest.mark.parametrize("spec", TWISTED_SPECS + UNTWISTED_SPECS)
+def test_serre_depth_is_sharp(spec):
+    # one bracket fewer than families 14-17 and U6 use leaves a nonzero word
+    # at some window-2 degree tuple for every ordered pair and sign, so the
+    # passing Serre families pin S exactly
+    s = serre_matrix(spec)
+    n = spec.pres_rank
+
+    def degs(i):
+        return [k for k in range(-2, 3) if k % degree_modulus(spec, i) == 0]
+
+    def word(sign, i, j, degrees):
+        inner = psi_image(GenSym("x" + sign, j, degrees[0]), spec)
+        for k in degrees[1:]:
+            inner = toroidal_bracket(psi_image(GenSym("x" + sign, i, k), spec), inner)
+        return inner
+
+    for i, j, sign in product(range(n + 1), range(n + 1), "+-"):
+        if i != j:
+            tuples = product(degs(j), *[degs(i)] * -s[i][j])
+            assert any(not word(sign, i, j, t).is_zero() for t in tuples), (i, j, sign)
+    # at the exceptions the extended matrix asks for exactly that depth
+    for exc in serre_exceptions(spec):
+        assert 1 - exc["extended"] == -exc["used"]
 
 
 def test_verify_family_counts():

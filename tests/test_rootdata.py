@@ -63,11 +63,23 @@ def test_d_vectors():
     assert build_cartan(D4_B).d == (Fraction(1), Fraction(1), Fraction(1, 2))
     assert build_cartan(D4_G).d == (Fraction(1, 3), Fraction(1))
     assert build_cartan(AlgebraSpec("A", 2, 1)).d == (Fraction(1),) * 3
+    assert build_cartan(D3).d == (Fraction(1), Fraction(1, 2))
+    assert build_cartan(AlgebraSpec("A", 4, 2)).d == (Fraction(1, 2),) * 3 + (Fraction(1),)
+    assert build_cartan(AlgebraSpec("D", 3, 1)).d == (Fraction(1),) * 4
 
 
 def test_extended_matrix_rows():
-    assert build_cartan(A5).A_ext[0] == (2, -1, 0, 0)
-    assert build_cartan(D4_B).A_ext[0] == (2, 0, -1, 0)
+    assert build_cartan(A5).A_ext == (
+        (2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2))
+    assert build_cartan(AlgebraSpec("A", 4, 2)).A_ext == (
+        (2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, 0),
+        (0, 0, -1, 2, -2), (0, 0, 0, -1, 2))
+    assert build_cartan(D4_B).A_ext == (
+        (2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2))
+    # untwisted D4: the affine node joins the branch node 2
+    assert build_cartan(AlgebraSpec("D", 3, 1)).A_ext == (
+        (2, 0, -1, 0, 0), (0, 2, -1, 0, 0), (-1, -1, 2, -1, -1),
+        (0, 0, -1, 2, 0), (0, 0, -1, 0, 2))
     assert build_cartan(D4_G).A_ext == ((2, 0, -1), (0, 2, -3), (-1, -1, 2))
     assert build_cartan(D3).A_ext == ((2, 0, -1), (0, 2, -1), (-1, -2, 2))
     # affine matrix of the untwisted A3 run: a 4-cycle
