@@ -4,8 +4,11 @@ Every scalar in this library is a ``CycNum``: a pair of rationals (a, b)
 representing a + b*w with w = exp(2*pi*i/r).  For r = 1 and r = 2 the
 basis is {1} (w collapses to 1 and -1 respectively); for r = 3 the basis
 is {1, w} and products reduce through the minimal polynomial
-w**2 = -1 - w.  All coordinates are `fractions.Fraction`, so arithmetic
-is exact at arbitrary precision.
+w**2 = -1 - w.  A coordinate is an `int` while it is integral and a
+`fractions.Fraction` only when it is not; division goes through
+`Fraction`, and a float or any other inexact value is refused.  So
+arithmetic is exact at arbitrary precision, and the integral values
+that make up almost every coefficient cost int arithmetic only.
 
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
@@ -22,21 +25,43 @@ from types import MappingProxyType
 _ORDERS = (1, 2, 3)
 
 
+def _exact(x):
+    """x as an exact coordinate: an int while it is integral, else a Fraction.
+
+    Only ints (bool included) and Fractions are exact; anything else, a
+    float or a str among them, is refused with TypeError.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, int):
+        return int(x)
+    if not isinstance(x, Fraction):
+        raise TypeError(
+            f"cyclotomic coordinates are int or Fraction, not {type(x).__name__}")
+    return x.numerator if x.denominator == 1 else x
+
+
 class CycNum:
-    """Element a + b*w of Q(zeta_r), stored in canonical coordinates."""
+    """Element a + b*w of Q(zeta_r), stored in canonical coordinates.
+
+    Each coordinate is an `int` while it is integral and a `Fraction`
+    only when it is not, so integral work never pays for `Fraction`.
+    """
 
     __slots__ = ("order", "a", "b")
 
     def __init__(self, order: int, a=0, b=0):
         if order not in _ORDERS:
             raise ValueError(f"unsupported cyclotomic order {order!r}")
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not int:
+            a = _exact(a)
+        if type(b) is not int:
+            b = _exact(b)
         if b:
             if order == 1:  # w = 1
-                a, b = a + b, Fraction(0)
+                a, b = _exact(a + b), 0
             elif order == 2:  # w = -1
-                a, b = a - b, Fraction(0)
+                a, b = _exact(a - b), 0
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -108,6 +133,8 @@ class CycNum:
         return CycNum(self.order, -self.a, -self.b)
 
     def __mul__(self, other):
+        if type(other) is int:  # structure constants: no CycNum for k
+            return CycNum(self.order, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -122,11 +149,13 @@ class CycNum:
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        # divide through Fraction: 1 / int would be a float
         if self.order < 3:
-            return CycNum(self.order, 1 / self.a)
+            return CycNum(self.order, Fraction(1) / self.a)
         # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
-        norm = self.a * self.a - self.a * self.b + self.b * self.b
-        return CycNum(3, (self.a - self.b) / norm, -self.b / norm)
+        a, b = self.a, self.b
+        norm = Fraction(a * a - a * b + b * b)
+        return CycNum(3, (a - b) / norm, -b / norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -207,6 +236,22 @@ def drop_zeros(terms: dict) -> dict:
     """`terms` itself when no value is zero, else a copy without the zeros."""
     if all(terms.values()):
         return terms
+    return {k: v for k, v in terms.items() if v}
+
+
+def algebra_terms(terms: dict, order: int) -> dict:
+    """`drop_zeros` for an element of an algebra of twist `order`, which
+    refuses a coefficient of any other cyclotomic order (ValueError)."""
+    # one pass over the values, which costs no more than drop_zeros alone
+    for c in terms.values():
+        if c.order != order or not (c.a or c.b):
+            break
+    else:
+        return terms
+    for c in terms.values():
+        if c.order != order:
+            raise ValueError(f"coefficient {c} has cyclotomic order {c.order}, "
+                             f"not the algebra's twist order {order}")
     return {k: v for k, v in terms.items() if v}
 
 
@@ -323,14 +368,16 @@ class SparseTerms:
 
 
 class AlgebraTerms(SparseTerms):
-    """SparseTerms bound to one algebra, whose scalars they take."""
+    """SparseTerms bound to one algebra, whose scalars they take: a
+    coefficient of another cyclotomic order is refused when built."""
 
     __slots__ = ("alg",)
 
     def __init__(self, alg, terms: dict):
         # no super() call: the bracket loops build one element per bracket
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", MappingProxyType(drop_zeros(terms)))
+        object.__setattr__(self, "terms",
+                           MappingProxyType(algebra_terms(terms, alg.spec.r)))
 
     def _new(self, terms: dict, other=None):
         return type(self)(self.alg, terms)

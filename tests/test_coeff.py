@@ -121,6 +121,134 @@ def test_equality_refuses_order_mismatch():
     assert CycNum(2, 1) != "1"
 
 
+# -- integer coordinates: int while integral, Fraction only when not --------
+
+def test_integral_coordinates_are_ints():
+    x = CycNum(3, Fraction(4, 2), Fraction(1, 1))
+    assert type(x.a) is int and type(x.b) is int and (x.a, x.b) == (2, 1)
+    assert repr(x) == "CycNum(3, 2, 1)"
+    h = CycNum(1, Fraction(1, 2))
+    assert type(h.a) is Fraction and type((h + h).a) is int
+    # the basis collapse of r = 1, 2 sums two halves into an integer
+    assert type(CycNum(2, Fraction(1, 2), Fraction(-1, 2)).a) is int
+    assert type(CycNum(3, True, False).a) is int
+    assert CycNum(2, 3).inverse() == CycNum(2, Fraction(1, 3))
+    assert type((CycNum(3, 2) / 2).a) is int
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, "1/3", "1", None, complex(1)])
+def test_inexact_coordinates_rejected(bad):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        CycNum(1, bad)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        CycNum(3, 1, bad)
+    for op in (lambda x: x + bad, lambda x: bad * x, lambda x: x / bad):
+        with pytest.raises(TypeError):
+            op(CycNum(3, 1, 1))
+
+
+def _ref_canonical(order, a, b):
+    # the all-Fraction reference: w = 1 for r = 1, w = -1 for r = 2
+    a, b = Fraction(a), Fraction(b)
+    if order == 1:
+        return (a + b, Fraction(0))
+    if order == 2:
+        return (a - b, Fraction(0))
+    return (a, b)
+
+
+def _ref_mul(order, x, y):
+    # (a1 + b1 w)(a2 + b2 w) = a1 a2 + (a1 b2 + b1 a2) w + b1 b2 w^2,
+    # with w^2 = -1 - w; for r = 1, 2 the b parts are zero
+    (a1, b1), (a2, b2) = x, y
+    return _ref_canonical(order, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+
+
+def _ref_inverse(order, x):
+    # solve x * (p + q w) = 1 by Cramer's rule on the matrix of
+    # multiplication by x, whose columns are x * 1 and x * w
+    c1 = _ref_mul(order, x, _ref_canonical(order, 1, 0))
+    if order < 3:
+        return (1 / c1[0], Fraction(0))
+    c2 = _ref_mul(order, x, (Fraction(0), Fraction(1)))
+    det = c1[0] * c2[1] - c2[0] * c1[1]
+    return (c2[1] / det, -c1[1] / det)
+
+
+def _ref_pow(order, x, k):
+    base = _ref_inverse(order, x) if k < 0 else x
+    out = _ref_canonical(order, 1, 0)
+    for _ in range(abs(k)):
+        out = _ref_mul(order, out, base)
+    return out
+
+
+def _assert_canonical(x):
+    for v in (x.a, x.b):
+        assert type(v) in (int, Fraction)  # never a float, nor a bool
+        assert (type(v) is int) == (Fraction(v).denominator == 1)
+
+
+exact_values = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=8),
+    # integral values written as Fractions, such as 4/2
+    st.integers(min_value=-20, max_value=20).map(lambda n: Fraction(2 * n, 2)),
+)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_scalar_layer_matches_fraction_reference(order, data):
+    a1, b1, a2, b2 = (data.draw(exact_values) for _ in range(4))
+    x, y = CycNum(order, a1, b1), CycNum(order, a2, b2)
+    rx, ry = _ref_canonical(order, a1, b1), _ref_canonical(order, a2, b2)
+    # the second operand may also be a plain int or Fraction
+    plain = data.draw(st.booleans())
+    other, rother = (a2, _ref_canonical(order, a2, 0)) if plain else (y, ry)
+    k = data.draw(st.integers(min_value=-4, max_value=4))
+
+    results = [
+        (x, rx),
+        (x + other, tuple(u + v for u, v in zip(rx, rother))),
+        (other + x, tuple(u + v for u, v in zip(rx, rother))),
+        (x - other, tuple(u - v for u, v in zip(rx, rother))),
+        (other - x, tuple(v - u for u, v in zip(rx, rother))),
+        (-x, tuple(-u for u in rx)),
+        (x * other, _ref_mul(order, rx, rother)),
+        (other * x, _ref_mul(order, rx, rother)),
+    ]
+    if any(rother):
+        results.append((x / other, _ref_mul(order, rx, _ref_inverse(order, rother))))
+    if any(rx):
+        results += [
+            (x.inverse(), _ref_inverse(order, rx)),
+            (other / x, _ref_mul(order, rother, _ref_inverse(order, rx))),
+        ]
+    if any(rx) or k >= 0:
+        results.append((x ** k, _ref_pow(order, rx, k)))
+    for got, want in results:
+        _assert_canonical(got)
+        assert (got.a, got.b) == want
+        # the same number built from Fraction coordinates is equal and
+        # hashes equal; so is the one built from int coordinates
+        as_fraction = CycNum(order, Fraction(got.a), Fraction(got.b))
+        assert as_fraction == got and hash(as_fraction) == hash(got)
+        assert (type(as_fraction.a), type(as_fraction.b)) == (type(got.a), type(got.b))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@given(i=st.integers(min_value=-99, max_value=99), j=st.integers(min_value=-99, max_value=99))
+def test_int_and_fraction_built_values_agree(order, i, j):
+    built = [CycNum(order, i, j), CycNum(order, Fraction(i), Fraction(j)),
+             CycNum(order, Fraction(3 * i, 3), Fraction(-2 * j, -2))]
+    for x in built:
+        assert type(x.a) is int and type(x.b) is int
+        assert x == built[0] and hash(x) == hash(built[0])
+        assert str(x) == str(built[0]) and bool(x) == bool(built[0])
+
+
 # -- the sparse-term base of LieElem, LoopElem and KahlerElem ---------------
 
 def _sparse_kinds():
@@ -224,3 +352,28 @@ def test_sparse_terms_never_store_zero(kind):
     for op in (lambda: x + stranger, lambda: x - stranger, lambda: stranger + x):
         with pytest.raises(TypeError):
             op()
+
+
+def test_foreign_order_coefficient_rejected_at_construction():
+    from torlie import AlgebraSpec, get_algebra
+    from torlie.kahler import Bt, C0, KahlerElem
+    from torlie.liealg import LieElem
+    from torlie.toroidal import LoopElem, ToroidalElem
+
+    alg = get_algebra(AlgebraSpec("D", 4, 3))
+    match = "cyclotomic order 2, not the algebra's twist order 3"
+    with pytest.raises(ValueError, match=match):
+        LoopElem(alg, {(0, 0, 0): CycNum(2, 1)})
+    with pytest.raises(ValueError, match=match):
+        ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: CycNum(2, 1)}), twisted=True)
+    with pytest.raises(ValueError, match=match):
+        ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: CycNum(2, 1)}))
+    with pytest.raises(ValueError, match=match):
+        LieElem(alg, {0: CycNum.one(3), 1: CycNum(2, 1)})
+    # a foreign zero is refused too, not silently dropped
+    with pytest.raises(ValueError, match=match):
+        LoopElem(alg, {(0, 0, 0): CycNum.one(3), (1, 0, 0): CycNum(2)})
+    # the same elements with the algebra's own scalars are built
+    x = LoopElem(alg, {(0, 0, 0): CycNum(3, 1)})
+    assert ToroidalElem(x, KahlerElem({C0: CycNum(3, 1), Bt(3): CycNum(3)})).terms == {
+        (0, 0, 0): CycNum.one(3), C0: CycNum.one(3)}
