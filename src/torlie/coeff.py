@@ -193,7 +193,8 @@ class CycNum:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.order, self.a, self.b))
+        # a rational value hashes as the int or Fraction it equals
+        return hash((self.order, self.a, self.b)) if self.b else hash(self.a)
 
     def __repr__(self):
         return f"CycNum({self.order}, {self.a!r}, {self.b!r})"

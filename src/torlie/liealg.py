@@ -346,9 +346,6 @@ class LieAlgebra:
         f0 = self.root_vector(theta)
         e0 = self.root_vector(tuple(-c for c in theta))
         h0 = self.bracket(e0, f0)
-        if self.bracket(h0, e0) != e0 * 2:
-            e0 = -e0
-            h0 = self.bracket(e0, f0)
         if self.bracket(h0, e0) != e0 * 2 or self.bracket(h0, f0) != f0 * (-2):
             raise AssertionError("highest-root sl2 normalization failed")
         fixed = True

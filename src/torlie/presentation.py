@@ -66,14 +66,6 @@ def admissible(spec: AlgebraSpec, gen: GenSym) -> bool:
     return gen.k % degree_modulus(spec, gen.i) == 0
 
 
-def _require_admissible(spec: AlgebraSpec, gen: GenSym):
-    if not admissible(spec, gen):
-        raise ConfigError(
-            f"degree {gen.k} is not admissible for index {gen.i} of {spec.name} "
-            f"(step {degree_modulus(spec, gen.i)})"
-        )
-
-
 @lru_cache(maxsize=None)
 def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
     """Image of a generator in the centrally extended algebra.
@@ -84,7 +76,11 @@ def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
     """
     alg = get_algebra(spec)
     r = spec.r
-    _require_admissible(spec, gen)
+    if not admissible(spec, gen):
+        raise ConfigError(
+            f"degree {gen.k} is not admissible for index {gen.i} of {spec.name} "
+            f"(step {degree_modulus(spec, gen.i)})"
+        )
     if gen.kind == "c":
         return ToroidalElem(
             LoopElem.zero(alg), KahlerElem({C0: CycNum.one(r)}), twisted=True
@@ -106,15 +102,10 @@ def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
         if gen.kind == "x+":
             return ToroidalElem(LoopElem.from_lie(e0, k, 1), twisted=True)
         return ToroidalElem(LoopElem.from_lie(-f0, k, -1), twisted=True)
-    # orbit sum of h_i, e_i or -f_i; it runs over j = 0..r-1 even when the
-    # orbit is shorter, so orbit-fixed nodes pick up the factor r
+    # orbit sum sum_t w^(-tk) sigma^t(v) of v = h_i, e_i or -f_i: r times the
+    # degree-k component, as sigma sends e_i, f_i, h_i to node sigma(i), sign +1
     vector = {"a": alg.h, "x+": alg.e, "x-": lambda u: -alg.f(u)}[gen.kind]
-    perm = build_cartan(spec).sigma
-    x = alg.zero()
-    node = i
-    for j in range(r):
-        x = x + vector(node) * omega_pow(r, -j * k)
-        node = perm[node]
+    x = alg.grade_component(vector(i), k) * r
     return ToroidalElem(LoopElem.from_lie(x, k, 0), twisted=True)
 
 
@@ -500,8 +491,8 @@ def verify_all(spec: AlgebraSpec, window: int, serre_cap: int = 2,
     if jobs < 1:
         raise ConfigError("jobs must be positive")
     families = families_for(spec)
-    per_family = [sorted(enumerate_cases(spec, f, window, serre_cap),
-                         key=RelationId.sort_key) for f in families]
+    # enumerate_cases lists each family's cases in case-id order
+    per_family = [enumerate_cases(spec, f, window, serre_cap) for f in families]
     cases = [rel for fam_cases in per_family for rel in fam_cases]
     evaluate = partial(evaluate_case, spec)
     workers = min(jobs, os.cpu_count() or 1, len(cases))
@@ -509,15 +500,13 @@ def verify_all(spec: AlgebraSpec, window: int, serre_cap: int = 2,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(evaluate, cases, chunksize=64))
+            reports = iter(list(pool.map(evaluate, cases, chunksize=64)))
     else:
-        reports = list(map(evaluate, cases))
-    summary = VerifySummary(spec, window, serre_cap)
-    start = 0
-    for family, fam_cases in zip(families, per_family):
-        end = start + len(fam_cases)
-        summary.families.append(FamilyResult(family, reports[start:end]))
-        start = end
+        reports = map(evaluate, cases)
+    summary = VerifySummary(spec, window, serre_cap, [
+        FamilyResult(family, [next(reports) for _ in fam_cases])
+        for family, fam_cases in zip(families, per_family)
+    ])
     if include_proof and spec.r > 1:
         summary.families.append(FamilyResult("P", proof_cases(spec, window)))
     return summary
@@ -624,83 +613,47 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
     if min(j_window, m_window, word_length) < 0:
         raise ConfigError("span windows and word length must not be negative")
     alg = get_algebra(spec)
-    box_j = 2 * j_window
-    box_m = m_window + 1
+    full = [alg.graded_dim(res) for res in range(spec.r)]
+    shown = list(product(range(-j_window, j_window + 1), range(-m_window, m_window + 1)))
+    # the rank each slice of the bracket box still lacks; room.get is 0 in
+    # a full slice and None outside the box, and no vector is kept there
+    room = {(j, m): full[j % spec.r] for j in range(-2 * j_window, 2 * j_window + 1)
+            for m in range(-m_window - 1, m_window + 2)}
+    echelons = {key: EchelonBasis() for key in room}
+    accepted = []  # (slice, vector) in the order they were kept
 
-    full_dim = {res: alg.graded_dim(res) for res in range(spec.r)}
-    targets = {
-        (j, m): full_dim[j % spec.r]
-        for j in range(-j_window, j_window + 1)
-        for m in range(-m_window, m_window + 1)
-    }
+    def absorb(key, lie):
+        if lie and echelons[key].add(lie.terms):
+            room[key] -= 1
+            accepted.append((key, lie))
 
-    echelons: dict = {}
-    vectors: dict = {}  # (j, m) -> list of LieElem
-
-    def absorb(j, m, lie):
-        if lie.is_zero():
-            return False
-        basis = echelons.get((j, m))
-        if basis is None:
-            basis = echelons[(j, m)] = EchelonBasis()
-            vectors[(j, m)] = []
-        if basis.rank >= full_dim[j % spec.r]:
-            return False
-        if basis.add(lie.terms):
-            vectors[(j, m)].append(lie)
-            return True
-        return False
-
-    n = spec.pres_rank
     gens = 0
-    fresh = []
-    for i in range(0, n + 1):
+    for i in range(spec.pres_rank + 1):
         for k in range(-j_window, j_window + 1):
             for kind in ("a", "x+", "x-"):
                 gen = GenSym(kind, i, k)
                 if not admissible(spec, gen):
                     continue
-                loop = pibar_image(gen, spec)
                 gens += 1
-                by_jm: dict = {}
-                for (b, j, m), c in loop.terms.items():
-                    by_jm.setdefault((j, m), {})[b] = c
-                for (j, m), terms in by_jm.items():
-                    if abs(j) <= box_j and abs(m) <= box_m:
-                        lie = LieElem(alg, terms)
-                        if absorb(j, m, lie):
-                            fresh.append((j, m, lie))
+                # an image is homogeneous, in slice (k, 0) or (k, +-1)
+                terms = pibar_image(gen, spec).terms
+                (key,) = {(j, m) for _, j, m in terms}
+                absorb(key, LieElem(alg, {b: c for (b, _, _), c in terms.items()}))
 
-    def targets_full():
-        return all(
-            echelons.get(key) is not None and echelons[key].rank == want
-            for key, want in targets.items()
-        )
-
+    start = 0
     for _ in range(word_length):
-        if targets_full() or not fresh:
+        if start == len(accepted) or not any(room[key] for key in shown):
             break
-        new = []
-        existing = [
-            (j, m, v) for (j, m), vecs in vectors.items() for v in vecs
-        ]
-        for (j1, m1, v1) in fresh:
-            for (j2, m2, v2) in existing:
-                j, m = j1 + j2, m1 + m2
-                if abs(j) > box_j or abs(m) > box_m:
-                    continue
-                basis = echelons.get((j, m))
-                if basis is not None and basis.rank >= full_dim[j % spec.r]:
-                    continue
-                w = alg.bracket(v1, v2)
-                if absorb(j, m, w):
-                    new.append((j, m, w))
-        fresh = new
+        fresh = accepted[start:]
+        start = len(accepted)
+        existing = accepted[:start]
+        for (j1, m1), v1 in fresh:
+            for (j2, m2), v2 in existing:
+                key = (j1 + j2, m1 + m2)
+                if room.get(key):
+                    absorb(key, alg.bracket(v1, v2))
 
-    slices = {
-        key: (echelons[key].rank if key in echelons else 0, want)
-        for key, want in targets.items()
-    }
-    total_vecs = sum(len(v) for v in vectors.values())
+    slices = {(j, m): (full[j % spec.r] - room[(j, m)], full[j % spec.r])
+              for j, m in shown}
     return SpanReport(spec, j_window, m_window, word_length, slices, gens,
-                      total_vecs)
+                      len(accepted))

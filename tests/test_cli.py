@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,18 @@ def test_span_rejects_negative_windows(capsys, flag, value):
     )
     assert code == 2
     assert out == "" and err.startswith("error: ") and "negative" in err
+
+
+def test_module_entry_point(capsys):
+    # `python -m torlie` runs cli.main and exits with its code
+    args = ("info", "--family", "A", "--n", "3", "--r", "2")
+    code, out, err = run(capsys, *args)
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "torlie", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == code == 0
+    assert (done.stdout, done.stderr) == (out, err)
 
 
 def test_dump_structure(capsys):

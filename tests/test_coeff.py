@@ -249,6 +249,16 @@ def test_int_and_fraction_built_values_agree(order, i, j):
         assert str(x) == str(built[0]) and bool(x) == bool(built[0])
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("value", [2, -7, 0, Fraction(3, 4), Fraction(-5, 2)],
+                         ids=str)
+def test_rational_value_hashes_as_the_number_it_equals(order, value):
+    x = CycNum(order, value)
+    assert x == value and hash(x) == hash(value)
+    assert len({x, value}) == 1
+    assert {value: "v"}.get(x) == "v" and {x: "v"}.get(value) == "v"
+
+
 # -- the sparse-term base of LieElem, LoopElem and KahlerElem ---------------
 
 def _sparse_kinds():

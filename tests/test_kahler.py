@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torlie import AlgebraSpec, get_algebra
 from torlie.coeff import CycNum
 from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
+from torlie.toroidal import LoopElem, ToroidalElem
 
 one = CycNum.one(1)
 
@@ -37,6 +39,13 @@ def test_basis_symbol_sanity():
         pass
     else:
         raise AssertionError("Bs with zero t-degree must be rejected")
+    # t d(s) is the ds symbol Bs(1, 1)
+    assert reduce_b_da((0, 1), (1, 0)).render() == "[s^0 t^1 ds]"
+    # the extended algebra renders loop terms first, then C0 < Bs < Bt
+    alg = get_algebra(AlgebraSpec("A", 2, 1))
+    central = {Bt(2): alg.scalar(1), Bs(1, -1): alg.scalar(-2), C0: alg.scalar(3)}
+    x = ToroidalElem(LoopElem.from_lie(alg.h(1), 1, 0), KahlerElem(central))
+    assert x.render() == "h1*s^1 + 3*C0 - 2*[s^0 t^-1 ds] + [s^2 t^-1 dt]"
 
 
 def test_linear_ops():

@@ -266,6 +266,15 @@ def test_case_catalog_is_pinned(key):
     assert digest == CASE_CATALOG_DIGESTS[key]
 
 
+@pytest.mark.parametrize("spec", TWISTED_SPECS + UNTWISTED_SPECS,
+                         ids=lambda spec: f"{spec.name} r={spec.r}")
+def test_cases_are_enumerated_in_case_id_order(spec):
+    # verify_all reports each family's cases in the order listed here
+    for family, window, cap in product(families_for(spec), range(1, 5), range(1, 4)):
+        cases = enumerate_cases(spec, family, window, cap)
+        assert cases == sorted(cases, key=RelationId.sort_key)
+
+
 def test_unknown_or_foreign_family_rejected():
     for spec, family in ((A5, "18"), (A5, "U1"), (AlgebraSpec("A", 2, 1), "1")):
         with pytest.raises(ValueError):

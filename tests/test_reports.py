@@ -2,7 +2,7 @@
 
 The passing reports are compared with the benchmark's references in
 bench/reference/, through the benchmark's own rendering; the failure
-reports, which no reference holds, are pinned by SHA-256.
+reports and the span reports no reference holds are pinned by SHA-256.
 """
 
 import hashlib
@@ -46,6 +46,37 @@ def test_span_report_matches_the_reference(args):
         workloads.SpanWorkload.key(workloads.A5, *a) for a in SPAN_ARGS)
     want = reference[workloads.SpanWorkload.key(workloads.A5, *args)]
     assert workloads.rendered(span_check(workloads.A5, *args)) == want
+
+
+# SHA-256 of the text and JSON span reports the references leave out: A5
+# at the CLI defaults, D4 r=3 (which stays short) and A3 r=1
+SPAN_DIGESTS = {
+    (("A", 3, 2), (2, 1, 4)): (
+        "93088a0aa18ea27759b7f4920ac53e5f1ea78f4911f6c7a3c427cc1d7cce58b2",
+        "82202d104d050b512c6a0e63889515f9e4a0c4ecbf08ee228d0cf916143c87d9",
+    ),
+    (("D", 4, 3), (1, 1, 3)): (
+        "66e584645d7180ca4dd919623d7a8e781be9db6ebf94df67ae0e1aab47fd0be0",
+        "c2c3aba84bff47e594198690d037ae46df35a8ae7c6951f40ca94d49de0a6686",
+    ),
+    (("A", 2, 1), (1, 1, 3)): (
+        "531a198d21edb158fb6299a9f23277e0366a89bb65ca76e21fcaeb8030c10a7d",
+        "0c3886218a7ba0a866ae459c63f3dbde121dcf83830d9e8a293479e341484d88",
+    ),
+}
+
+
+def _digests(report):
+    rendered = workloads.rendered(report)
+    return tuple(hashlib.sha256(rendered[form].encode()).hexdigest()
+                 for form in ("text", "json"))
+
+
+@pytest.mark.parametrize("key", SPAN_DIGESTS, ids=lambda key: "{} r={} {}".format(
+    AlgebraSpec(*key[0]).name, key[0][2], key[1]))
+def test_span_reports_are_pinned(key):
+    spec_key, args = key
+    assert _digests(span_check(AlgebraSpec(*spec_key), *args)) == SPAN_DIGESTS[key]
 
 
 # families whose cases are made to fail, and the SHA-256 of the text and
@@ -106,7 +137,4 @@ def test_failure_reports_are_pinned(key, monkeypatch):
         {f for f in BROKEN_FAMILIES if f in presentation.families_for(spec)}
     assert any(d.startswith("-") for d in diffs)
     assert any(not d.startswith("-") for d in diffs)
-    rendered = workloads.rendered(summary)
-    got = tuple(hashlib.sha256(rendered[form].encode()).hexdigest()
-                for form in ("text", "json"))
-    assert got == FAILURE_DIGESTS[key]
+    assert _digests(summary) == FAILURE_DIGESTS[key]
