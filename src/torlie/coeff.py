@@ -62,9 +62,9 @@ class CycNum:
                 a, b = _exact(a + b), 0
             elif order == 2:  # w = -1
                 a, b = _exact(a - b), 0
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_order(self, order)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -91,7 +91,7 @@ class CycNum:
     # -- helpers -----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, CycNum):
+        if type(other) is CycNum:
             if other.order != self.order:
                 raise ValueError(
                     f"cyclotomic order mismatch: {self.order} vs {other.order}"
@@ -218,6 +218,11 @@ class CycNum:
                 parts.append(w)
         return "".join(parts)
 
+
+# the slot setters, which CycNum.__setattr__ refuses to reach
+_set_order = CycNum.order.__set__
+_set_a = CycNum.a.__set__
+_set_b = CycNum.b.__set__
 
 # w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {

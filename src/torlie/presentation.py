@@ -31,7 +31,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 
 from .coeff import CycNum, omega_pow
 from .kahler import Bt, C0, KahlerElem
@@ -124,12 +124,6 @@ class RelationId:
     indices: tuple
     sign: str
     degrees: tuple
-
-    def sort_key(self):
-        order = {"U": 100, "P": 200}
-        fam = self.family
-        base = order.get(fam[0], 0) + int(fam.lstrip("UP"))
-        return (base, self.indices, self.sign, self.degrees)
 
     def render(self) -> str:
         idx = ",".join(str(i) for i in self.indices)
@@ -609,6 +603,11 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
     every bracket word whose binary tree has height at most l.  Each
     produced word is homogeneous in both Laurent degrees, so the span
     meets a slice exactly in the span of the words of that bidegree.
+
+    A round brackets each unordered pair of kept vectors once, in the
+    order of the full fresh-by-kept sweep.  The bracket is bilinear and
+    antisymmetric, so the skipped [v, v] = 0 and [v2, v1] = -[v1, v2]
+    add nothing to a span: the same vectors are kept in the same order.
     """
     if min(j_window, m_window, word_length) < 0:
         raise ConfigError("span windows and word length must not be negative")
@@ -644,11 +643,11 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
     for _ in range(word_length):
         if start == len(accepted) or not any(room[key] for key in shown):
             break
+        older = accepted[:start]
         fresh = accepted[start:]
         start = len(accepted)
-        existing = accepted[:start]
-        for (j1, m1), v1 in fresh:
-            for (j2, m2), v2 in existing:
+        for a, ((j1, m1), v1) in enumerate(fresh):
+            for (j2, m2), v2 in chain(older, fresh[a + 1:]):
                 key = (j1 + j2, m1 + m2)
                 if room.get(key):
                     absorb(key, alg.bracket(v1, v2))

@@ -62,7 +62,10 @@ def loop_bracket(x, y) -> LoopElem:
     table = alg._table
     loop_y = _loop_terms(y)
     terms: dict = {}
-    for (b1, j1, m1), c1 in _loop_terms(x):
+    for key1, c1 in x.terms.items():
+        if type(key1) is not tuple:
+            continue
+        b1, j1, m1 = key1
         for (b2, j2, m2), c2 in loop_y:
             entry = table.get((b1, b2))
             if not entry:
@@ -173,7 +176,10 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     terms = dict(loop_bracket(x, y).terms)
     form = alg._form
     loop_y = _loop_terms(y)
-    for (b1, j1, m1), c1 in _loop_terms(x):
+    for key1, c1 in x.terms.items():
+        if type(key1) is not tuple:
+            continue
+        b1, j1, m1 = key1
         for (b2, j2, m2), c2 in loop_y:
             pairing = form.get((b1, b2))
             if pairing is None:

@@ -63,6 +63,23 @@ def test_order_mismatch_rejected():
         CycNum.one(1) * CycNum.omega(3)
 
 
+@pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__", "__mul__",
+                                    "__truediv__", "__eq__"])
+@pytest.mark.parametrize("orders", [(1, 2), (2, 3), (3, 1)])
+def test_each_operation_refuses_a_foreign_order(method, orders):
+    x, y = (CycNum(order, 2, 1) for order in orders)
+    with pytest.raises(ValueError, match="cyclotomic order mismatch"):
+        getattr(x, method)(y)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "order"])
+def test_slots_refuse_assignment(name):
+    x = CycNum(3, 1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(x, name, 5)
+    assert (x.order, x.a, x.b) == (3, 1, 2)
+
+
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError):
         CycNum(4, 1)

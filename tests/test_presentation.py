@@ -240,6 +240,13 @@ def test_case_enumeration_is_deterministic():
     assert len(set(a)) == len(a)
 
 
+def case_id_order(rel):
+    """Sort key of the case-id order: family number (U after the twisted
+    families, P after U), then indices, sign and degrees."""
+    base = {"U": 100, "P": 200}.get(rel.family[0], 0) + int(rel.family.lstrip("UP"))
+    return (base, rel.indices, rel.sign, rel.degrees)
+
+
 # SHA-256 of the rendered case ids of every family at window 3, serre cap
 # 2, each family sorted by case id; pins the case catalog itself, which
 # passing reports only count
@@ -260,7 +267,7 @@ def test_case_catalog_is_pinned(key):
     lines = [
         rel.render()
         for family in families_for(spec)
-        for rel in sorted(enumerate_cases(spec, family, 3, 2), key=RelationId.sort_key)
+        for rel in sorted(enumerate_cases(spec, family, 3, 2), key=case_id_order)
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CASE_CATALOG_DIGESTS[key]
@@ -272,7 +279,7 @@ def test_cases_are_enumerated_in_case_id_order(spec):
     # verify_all reports each family's cases in the order listed here
     for family, window, cap in product(families_for(spec), range(1, 5), range(1, 4)):
         cases = enumerate_cases(spec, family, window, cap)
-        assert cases == sorted(cases, key=RelationId.sort_key)
+        assert cases == sorted(cases, key=case_id_order)
 
 
 def test_unknown_or_foreign_family_rejected():
@@ -432,6 +439,24 @@ def test_span_slices_target_graded_dims():
     for (j, m), (got, full) in report.slices.items():
         assert full == alg.graded_dim(j % 2)
         assert got <= full
+
+
+def test_span_check_brackets_each_pair_once(monkeypatch):
+    alg = get_algebra(A5)  # built before recording: its set-up brackets too
+    bracket = type(alg).bracket
+    pairs = []
+
+    def recording(self, x, y):
+        pairs.append((id(x), id(y)))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(type(alg), "bracket", recording)
+    report = span_check(A5, 1, 1, 4)
+    assert report.complete and report.vectors == 449
+    assert all(x != y for x, y in pairs)
+    assert len({frozenset(pair) for pair in pairs}) == len(pairs)
+    # 13,863 before the pair rule: 117 of [v, v] and 3,711 repeated pairs
+    assert len(pairs) == 10035
 
 
 def test_span_check_rejects_negative_windows():
