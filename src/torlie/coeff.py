@@ -20,6 +20,7 @@ immutable sparse map from a basis key to a nonzero CycNum.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 _ORDERS = (1, 2, 3)
@@ -67,6 +68,9 @@ class CycNum:
         _set_b(self, b)
 
     def __setattr__(self, name, value):
+        raise AttributeError("CycNum is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("CycNum is immutable")
 
     # -- constructors ------------------------------------------------
@@ -261,6 +265,27 @@ def algebra_terms(terms: dict, order: int) -> dict:
     return {k: v for k, v in terms.items() if v}
 
 
+def denominator(*elements) -> int:
+    """Least common denominator of every coordinate of the elements; 1
+    when they are all integral."""
+    d = 1
+    for x in elements:
+        for c in x.terms.values():
+            if type(c.a) is not int or type(c.b) is not int:
+                d = lcm(d, c.a.denominator, c.b.denominator)
+    return d
+
+
+def _cleared(x, d: int) -> int:
+    """d*x as an int, for a coordinate x whose denominator divides d."""
+    return x * d if type(x) is int else x.numerator * (d // x.denominator)
+
+
+def _divided(x, d: int):
+    """x/d as an exact coordinate, before `CycNum` makes it canonical."""
+    return Fraction(x, d) if x else 0
+
+
 def coeff_prefix(c: CycNum, symbol: str) -> str:
     """Render coeff*symbol, folding unit coefficients into the symbol."""
     s = str(c)
@@ -296,6 +321,9 @@ class SparseTerms:
         object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- hooks of algebra-bound subclasses ------------------------------
@@ -339,6 +367,25 @@ class SparseTerms:
         return self._new({k: v * c for k, v in self.terms.items()})
 
     __mul__ = __rmul__ = scale
+
+    def cleared(self, d: int):
+        """d times this element, for an int d that clears every
+        denominator (see `denominator`).  Each coordinate is written as
+        an int directly; `_new` carries the element's flags over."""
+        terms = {}
+        for k, c in self.terms.items():
+            out = object.__new__(CycNum)
+            _set_order(out, c.order)
+            _set_a(out, _cleared(c.a, d))
+            _set_b(out, _cleared(c.b, d))
+            terms[k] = out
+        return self._new(terms)
+
+    def divided(self, d: int):
+        """This element divided by the nonzero int d: one exact division
+        per nonzero coordinate, which `CycNum` brings to canonical form."""
+        return self._new({k: CycNum(c.order, _divided(c.a, d), _divided(c.b, d))
+                          for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -18,7 +18,6 @@ checked by the test suite rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import AlgebraTerms, CycNum, omega_pow
@@ -313,7 +312,7 @@ class LieAlgebra:
         for k in range(r):
             acc = acc + cur * omega_pow(r, -j * k)
             cur = self.sigma(cur)
-        return acc * Fraction(1, r)
+        return acc.divided(r)
 
     def graded_dim(self, j: int) -> int:
         """Dimension of the twist eigenspace, by projection rank."""

@@ -12,13 +12,18 @@ differentials.  The bracket
 annihilates central terms.  Elements tagged as twisted are validated
 eagerly: the loop terms must be fixed by the twisted automorphism and
 every central symbol must have s-degree divisible by the twist order.
+
+Fractional operands are bracketed on integer coordinates: with d the
+least common denominator of both operands, `toroidal_bracket` brackets
+d*x and d*y, checks that result, and divides it by d^2 once at the
+end.  This is exact, because the bracket and the cocycle are bilinear,
+so [d*x, d*y] = d^2*[x, y], and the twisted automorphism is linear, so
+d^2*[x, y] is fixed exactly when [x, y] is.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeff import AlgebraTerms, omega_pow
+from .coeff import AlgebraTerms, denominator, omega_pow
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
@@ -102,7 +107,7 @@ def fix_project(x: LoopElem) -> LoopElem:
     for _ in range(r - 1):
         cur = sigma_bar(cur)
         acc = acc + cur
-    return acc * Fraction(1, r)
+    return acc.divided(r)
 
 
 class ToroidalElem(AlgebraTerms):
@@ -170,7 +175,19 @@ class ToroidalElem(AlgebraTerms):
 
 
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
-    """Bracket with the differential 2-cocycle; central inputs die."""
+    """Bracket with the differential 2-cocycle; central inputs die.
+
+    Fractional operands are first scaled by their least common
+    denominator d, so every structure-constant and form product is a
+    product of ints; the result is checked on those coordinates and
+    divided by d^2 once.  Both the bracket and the cocycle are bilinear,
+    so this gives [x, y] exactly, and the check is unchanged because
+    the twisted automorphism is linear.  Integral operands (d = 1) are
+    neither copied nor divided.
+    """
+    d = denominator(x, y)
+    if d != 1:
+        x, y = x.cleared(d), y.cleared(d)
     alg = x.alg
     r = alg.spec.r
     terms = dict(loop_bracket(x, y).terms)
@@ -191,4 +208,4 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     out = x._new(terms, y)
     if out.twisted:
         out.validate_twisted()
-    return out
+    return out if d == 1 else out.divided(d * d)

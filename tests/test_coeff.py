@@ -77,7 +77,26 @@ def test_slots_refuse_assignment(name):
     x = CycNum(3, 1, 2)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(x, name, 5)
+    with pytest.raises(AttributeError, match="CycNum is immutable"):
+        delattr(x, name)
     assert (x.order, x.a, x.b) == (3, 1, 2)
+
+
+@pytest.mark.parametrize("kind,names", [
+    ("LieElem", ("terms", "alg")),
+    ("LoopElem", ("terms", "alg")),
+    ("KahlerElem", ("terms",)),
+    ("ToroidalElem", ("terms", "alg", "twisted")),
+])
+def test_element_slots_refuse_deletion(kind, names):
+    keys, make = _sparse_kinds()[kind][:2]
+    x = make({keys[0]: CycNum.one(3)})
+    before = dict(x.terms)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+            delattr(x, name)
+        assert getattr(x, name) is not None
+    assert x.terms == before
 
 
 def test_unsupported_order_rejected():

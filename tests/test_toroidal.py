@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import TWISTED_SPECS
-from torlie import AlgebraSpec, get_algebra
+from torlie import AlgebraSpec, get_algebra, toroidal
+from torlie.coeff import denominator
 from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
 from torlie.liealg import LieElem
 from torlie.rootdata import build_cartan, enumerate_roots
@@ -18,6 +19,7 @@ from torlie.toroidal import (
 )
 
 A5 = AlgebraSpec("A", 3, 2)
+D4_TRIALITY = AlgebraSpec("D", 4, 3)
 
 
 def loop(alg, *terms):
@@ -171,6 +173,103 @@ def test_form_and_cocycle_match_the_cartan_matrix(spec):
                                    ToroidalElem(LoopElem.from_lie(y, j2, m2)))
             assert got.central == reduce_b_da((j2, m2), (j1, m1), spec.r).scale(
                 alg.form(x, y))
+
+
+def _coordinates(x):
+    return [v for c in x.terms.values() for v in (c.a, c.b)]
+
+
+def _reference_bracket(x, y):
+    """[x, y] on the operands as given, with no clearing of denominators:
+    the loop bracket plus the cocycle summed term by term, and whether a
+    cocycle class with a nonzero pairing had a fractional coordinate."""
+    alg = x.alg
+    central = KahlerElem()
+    fractional_class = False
+    for (b1, j1, m1), c1 in x.loop.terms.items():
+        for (b2, j2, m2), c2 in y.loop.terms.items():
+            pairing = alg.form(LieElem.basis(alg, b1), LieElem.basis(alg, b2))
+            if not pairing:
+                continue
+            cls = reduce_b_da((j2, m2), (j1, m1), alg.spec.r)
+            fractional_class |= any(type(v) is Fraction for v in _coordinates(cls))
+            central = central + cls.scale(c1 * c2 * pairing)
+    return ToroidalElem(loop_bracket(x, y), central), fractional_class
+
+
+@pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
+def test_fractional_bracket_matches_unscaled_reference(spec):
+    alg = get_algebra(spec)
+    rng = random.Random(61 + spec.N + spec.r)
+    cleared = fractional_classes = fractional_results = 0
+    omega_fractions = False
+    for _ in range(40):
+        x, y = rand_fixed(alg, rng), rand_fixed(alg, rng)
+        cleared += denominator(x, y) != 1
+        omega_fractions |= any(type(c.b) is Fraction
+                               for z in (x, y) for c in z.terms.values())
+        got = toroidal_bracket(x, y)
+        want, fractional_class = _reference_bracket(x, y)
+        assert got.terms == want.terms and got.twisted
+        fractional_classes += fractional_class
+        # canonical coordinates: an int exactly when integral
+        for v in _coordinates(got):
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        fractional_results += any(type(v) is Fraction for v in _coordinates(got))
+    assert cleared >= 30 and fractional_classes > 0 and fractional_results > 0
+    assert omega_fractions == (spec.r == 3)
+
+
+def test_cleared_and_divided_keep_value_and_flag():
+    alg = get_algebra(D4_TRIALITY)
+    rng = random.Random(12)
+    x = rand_fixed(alg, rng)
+    d = denominator(x)
+    assert d > 1
+    big = x.cleared(d)
+    assert big.twisted and big == x.scale(d) and denominator(big) == 1
+    assert all(type(v) is int for v in _coordinates(big))
+    back = big.divided(d)
+    assert back.twisted and back.terms == x.terms
+    assert all(type(v) is int or v.denominator != 1 for v in _coordinates(back))
+
+
+@pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
+def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
+    alg = get_algebra(spec)
+    rng = random.Random(23 + spec.N + spec.r)
+    pairs = [(rand_fixed(alg, rng), rand_fixed(alg, rng)) for _ in range(10)]
+    pairs = [(x, y) for x, y in pairs if denominator(x, y) != 1]
+    assert len(pairs) >= 5
+    wants = [toroidal_bracket(x, y) for x, y in pairs]
+
+    # one check per twisted output, made on d^2 times the result
+    checked = []
+    validate = ToroidalElem.validate_twisted
+
+    def counted(self):
+        checked.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ToroidalElem, "validate_twisted", counted)
+    for (x, y), want in zip(pairs, wants):
+        got = toroidal_bracket(x, y)
+        d = denominator(x, y)
+        assert got.twisted and got == want
+        assert len(checked) == 1 and checked.pop() == got.scale(d * d)
+
+    # a twisted automorphism with one wrong sign makes the check fail
+    (x, y), want = next((p, w) for p, w in zip(pairs, wants) if w.loop)
+    b0 = next(iter(want.loop.terms))[0]
+    sigma_term = toroidal._sigma_term
+
+    def flipped(alg, key, c):
+        image, v = sigma_term(alg, key, c)
+        return image, (-v if key[0] == b0 else v)
+
+    monkeypatch.setattr(toroidal, "_sigma_term", flipped)
+    with pytest.raises(ValueError, match="not fixed by the twisted automorphism"):
+        toroidal_bracket(x, y)
 
 
 def test_twisted_validation():
