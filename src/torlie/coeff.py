@@ -1,17 +1,23 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_r) for r in {1, 2, 3}.
 
-Every scalar in this library is a ``CycNum``: a pair of rationals (a, b)
+Every stored scalar is a ``CycNum``: a pair of rationals (a, b)
 representing a + b*w with w = exp(2*pi*i/r).  For r = 1 and r = 2 the
 basis is {1} (w collapses to 1 and -1 respectively); for r = 3 the basis
 is {1, w} and products reduce through the minimal polynomial
-w**2 = -1 - w.  A coordinate is an `int` while it is integral and a
-`fractions.Fraction` only when it is not; division goes through
-`Fraction`, and a float or any other inexact value is refused.  So
-arithmetic is exact at arbitrary precision, and the integral values
+w**2 = -1 - w (`omega_product`).  A coordinate is an `int` while it is
+integral and a `fractions.Fraction` only when it is not; division goes
+through `Fraction`, and a float or any other inexact value is refused.
+So arithmetic is exact at arbitrary precision, and the integral values
 that make up almost every coefficient cost int arithmetic only.
 
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
+
+The hot kernels (the Lie and loop brackets, the cocycle, echelon
+reduction) do not compute through ``CycNum`` objects: they read each
+operand's coordinates once, multiply and accumulate plain int/Fraction
+pairs, and build one ``CycNum`` per nonzero output term with
+`from_coords`.
 
 `SparseTerms` is the one format of every vector in the library: an
 immutable sparse map from a basis key to a nonzero CycNum.
@@ -26,7 +32,7 @@ from types import MappingProxyType
 _ORDERS = (1, 2, 3)
 
 
-def _exact(x):
+def exact(x):
     """x as an exact coordinate: an int while it is integral, else a Fraction.
 
     Only ints (bool included) and Fractions are exact; anything else, a
@@ -55,14 +61,14 @@ class CycNum:
         if order not in _ORDERS:
             raise ValueError(f"unsupported cyclotomic order {order!r}")
         if type(a) is not int:
-            a = _exact(a)
+            a = exact(a)
         if type(b) is not int:
-            b = _exact(b)
+            b = exact(b)
         if b:
             if order == 1:  # w = 1
-                a, b = _exact(a + b), 0
+                a, b = exact(a + b), 0
             elif order == 2:  # w = -1
-                a, b = _exact(a - b), 0
+                a, b = exact(a - b), 0
         _set_order(self, order)
         _set_a(self, a)
         _set_b(self, b)
@@ -144,22 +150,14 @@ class CycNum:
             return NotImplemented
         if self.order < 3:
             return CycNum(self.order, self.a * o.a)
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w
-        return CycNum(3, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+        return CycNum(3, *omega_product(self.a, self.b, o.a, o.b))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # divide through Fraction: 1 / int would be a float
-        if self.order < 3:
-            return CycNum(self.order, Fraction(1) / self.a)
-        # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
-        a, b = self.a, self.b
-        norm = Fraction(a * a - a * b + b * b)
-        return CycNum(3, (a - b) / norm, -b / norm)
+        return CycNum(self.order, *inverse_coords(self.a, self.b))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -228,6 +226,58 @@ _set_order = CycNum.order.__set__
 _set_a = CycNum.a.__set__
 _set_b = CycNum.b.__set__
 
+
+def omega_product(a1, b1, a2, b2) -> tuple:
+    """Coordinates of (a1 + b1 w)(a2 + b2 w) in Q(zeta_3), w^2 = -1 - w."""
+    bb = b1 * b2
+    return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
+
+
+def inverse_coords(a, b=0) -> tuple:
+    """Canonical coordinates of 1/(a + b w) for a nonzero a + b w; with
+    b == 0 this is 1/a in any order, else the inverse in Q(zeta_3)."""
+    if not b:
+        if a == 1 or a == -1:  # a unit is its own inverse
+            return int(a), 0
+        # divide through Fraction: 1 / int would be a float
+        return exact(Fraction(1) / a), 0
+    # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
+    norm = Fraction(a * a - a * b + b * b)
+    return exact((a - b) / norm), exact(-b / norm)
+
+
+def from_coords(order: int, a, b=0) -> CycNum:
+    """The CycNum a + b*w, its slots set directly.
+
+    For the kernels, which know their order and give b == 0 unless the
+    order is 3, so none of the checks of `CycNum.__init__` apply; only a
+    non-int coordinate passes `exact`, which makes it canonical.
+    """
+    out = object.__new__(CycNum)
+    _set_order(out, order)
+    _set_a(out, a if type(a) is int else exact(a))
+    _set_b(out, b if type(b) is int else exact(b))
+    return out
+
+
+def coord_terms(order: int, a_terms: dict, b_terms: dict) -> dict:
+    """{key: CycNum} of accumulated coordinates, the zeros left out.
+
+    Each key of `b_terms` is a key of `a_terms`, and `b_terms` is empty
+    while every b coordinate is 0, which it always is for r <= 2.
+    """
+    out = {}
+    if b_terms:
+        for k, a in a_terms.items():
+            b = b_terms.get(k, 0)
+            if a or b:
+                out[k] = from_coords(order, a, b)
+    else:
+        for k, a in a_terms.items():
+            if a:
+                out[k] = from_coords(order, a)
+    return out
+
 # w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {
     order: tuple(CycNum.omega(order) ** e for e in range(order)) for order in _ORDERS
@@ -282,7 +332,7 @@ def _cleared(x, d: int) -> int:
 
 
 def _divided(x, d: int):
-    """x/d as an exact coordinate, before `CycNum` makes it canonical."""
+    """x/d as an exact coordinate, before `from_coords` makes it canonical."""
     return Fraction(x, d) if x else 0
 
 
@@ -372,19 +422,13 @@ class SparseTerms:
         """d times this element, for an int d that clears every
         denominator (see `denominator`).  Each coordinate is written as
         an int directly; `_new` carries the element's flags over."""
-        terms = {}
-        for k, c in self.terms.items():
-            out = object.__new__(CycNum)
-            _set_order(out, c.order)
-            _set_a(out, _cleared(c.a, d))
-            _set_b(out, _cleared(c.b, d))
-            terms[k] = out
-        return self._new(terms)
+        return self._new({k: from_coords(c.order, _cleared(c.a, d), _cleared(c.b, d))
+                          for k, c in self.terms.items()})
 
     def divided(self, d: int):
         """This element divided by the nonzero int d: one exact division
-        per nonzero coordinate, which `CycNum` brings to canonical form."""
-        return self._new({k: CycNum(c.order, _divided(c.a, d), _divided(c.b, d))
+        per nonzero coordinate, which `from_coords` makes canonical."""
+        return self._new({k: from_coords(c.order, _divided(c.a, d), _divided(c.b, d))
                           for k, c in self.terms.items()})
 
     def __eq__(self, other):

@@ -20,7 +20,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import AlgebraTerms, CycNum, omega_pow
+from .coeff import (
+    AlgebraTerms,
+    CycNum,
+    coord_terms,
+    exact,
+    inverse_coords,
+    omega_pow,
+    omega_product,
+)
 from .rootdata import (
     AlgebraSpec,
     build_cartan,
@@ -47,10 +55,19 @@ class LieElem(AlgebraTerms):
 
 
 class EchelonBasis:
-    """Incremental exact Gaussian elimination over CycNum coefficients."""
+    """Incremental exact Gaussian elimination over Q(zeta_r).
+
+    A row is (pivot key, a, b): its coordinates as two maps, key -> a and
+    key -> b, scaled so that the pivot coefficient is 1.  Every key of
+    the row is a key of `a`; `b` is empty when every b coordinate is 0,
+    which it always is for r <= 2.  Reduction multiplies and adds these
+    coordinates directly, and takes the w-product only where a b is
+    nonzero.  `add` takes a map of CycNum and keeps no CycNum.
+    """
 
     def __init__(self):
-        self.rows = []  # list of (pivot_key, {key: CycNum}) with pivot coeff 1
+        self.rows = []
+        self.order = None  # of the first vector's scalars; others are refused
 
     @property
     def rank(self) -> int:
@@ -58,21 +75,42 @@ class EchelonBasis:
 
     def add(self, vec: dict) -> bool:
         """Reduce `vec` against the basis; absorb it if independent."""
-        vec = dict(vec)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c:
-                for k, v in row.items():
-                    s = vec.get(k)
-                    vec[k] = -c * v if s is None else s - c * v
-        # rows are plain dicts, not SparseTerms: drop what the reduction zeroed
-        vec = {k: v for k, v in vec.items() if v}
-        if not vec:
+        order = self.order
+        va, vb = {}, {}
+        for k, c in vec.items():
+            if c.order != order:
+                if order is not None:
+                    raise ValueError(f"cyclotomic order mismatch: {order} vs {c.order}")
+                order = self.order = c.order
+            va[k] = c.a
+            if c.b:
+                vb[k] = c.b
+        for pivot, ra, rb in self.rows:
+            ca = va.get(pivot, 0)
+            cb = vb.get(pivot, 0) if vb else 0
+            if cb or (ca and rb):
+                for k, a in ra.items():
+                    pa, pb = omega_product(ca, cb, a, rb.get(k, 0))
+                    va[k] = va.get(k, 0) - pa
+                    vb[k] = vb.get(k, 0) - pb
+            elif ca:
+                for k, a in ra.items():
+                    va[k] = va.get(k, 0) - ca * a
+        if vb:
+            keys = [k for k, a in va.items() if a or vb.get(k)]
+        else:
+            keys = [k for k, a in va.items() if a]
+        if not keys:
             return False
-        pivot = min(vec)
-        lead = vec[pivot]
-        row = {k: v / lead for k, v in vec.items()}
-        self.rows.append((pivot, row))
+        pivot = min(keys)
+        ia, ib = inverse_coords(va[pivot], vb.get(pivot, 0))
+        ra, rb = {}, {}
+        for k in keys:
+            pa, pb = omega_product(va[k], vb.get(k, 0), ia, ib)
+            ra[k] = exact(pa)
+            if pb:
+                rb[k] = exact(pb)
+        self.rows.append((pivot, ra, rb))
         return True
 
 
@@ -201,26 +239,33 @@ class LieAlgebra:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
         table = self._table
-        terms = {}
+        ys = y.terms.items()
+        acc_a, acc_b = {}, {}
         for b1, c1 in x.terms.items():
-            for b2, c2 in y.terms.items():
+            a1, w1 = c1.a, c1.b
+            for b2, c2 in ys:
                 entry = table.get((b1, b2))
                 if not entry:
                     continue
-                c = c1 * c2
-                for b3, k in entry:
-                    s = terms.get(b3)
-                    terms[b3] = c * k if s is None else s + c * k
-        return LieElem(self, terms)
+                a2, w2 = c2.a, c2.b
+                if w1 or w2:
+                    pa, pb = omega_product(a1, w1, a2, w2)
+                    for b3, k in entry:
+                        acc_a[b3] = acc_a.get(b3, 0) + pa * k
+                        acc_b[b3] = acc_b.get(b3, 0) + pb * k
+                else:
+                    p = a1 * a2
+                    for b3, k in entry:
+                        acc_a[b3] = acc_a.get(b3, 0) + p * k
+        return LieElem(self, coord_terms(self.spec.r, acc_a, acc_b))
 
     def _build_form_table(self):
         # (h_i|h_j) = A'_ij, (e_a|e_-a) = 1, every other pair 0 (absent)
         A = self.cartan.A_prime
         N = self.N
-        table = {(i, j): self.scalar(A[i][j])
-                 for i in range(N) for j in range(N) if A[i][j]}
+        table = {(i, j): A[i][j] for i in range(N) for j in range(N) if A[i][j]}
         for ri, rj in enumerate(self._neg):
-            table[(N + ri, N + rj)] = self.scalar(1)
+            table[(N + ri, N + rj)] = 1
         return table
 
     def form(self, x: LieElem, y: LieElem) -> CycNum:

@@ -23,7 +23,7 @@ d^2*[x, y] is fixed exactly when [x, y] is.
 
 from __future__ import annotations
 
-from .coeff import AlgebraTerms, denominator, omega_pow
+from .coeff import AlgebraTerms, coord_terms, denominator, omega_pow, omega_product
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
@@ -66,22 +66,31 @@ def loop_bracket(x, y) -> LoopElem:
     alg = x.alg
     table = alg._table
     loop_y = _loop_terms(y)
-    terms: dict = {}
+    acc_a: dict = {}
+    acc_b: dict = {}
     for key1, c1 in x.terms.items():
         if type(key1) is not tuple:
             continue
         b1, j1, m1 = key1
+        a1, w1 = c1.a, c1.b
         for (b2, j2, m2), c2 in loop_y:
             entry = table.get((b1, b2))
             if not entry:
                 continue
-            c = c1 * c2
+            a2, w2 = c2.a, c2.b
             key_j, key_m = j1 + j2, m1 + m2
-            for b3, k in entry:
-                key = (b3, key_j, key_m)
-                s = terms.get(key)
-                terms[key] = c * k if s is None else s + c * k
-    return LoopElem(alg, terms)
+            if w1 or w2:
+                pa, pb = omega_product(a1, w1, a2, w2)
+                for b3, k in entry:
+                    key = (b3, key_j, key_m)
+                    acc_a[key] = acc_a.get(key, 0) + pa * k
+                    acc_b[key] = acc_b.get(key, 0) + pb * k
+            else:
+                p = a1 * a2
+                for b3, k in entry:
+                    key = (b3, key_j, key_m)
+                    acc_a[key] = acc_a.get(key, 0) + p * k
+    return LoopElem(alg, coord_terms(alg.spec.r, acc_a, acc_b))
 
 
 def _sigma_term(alg: LieAlgebra, key: tuple, c):
@@ -185,26 +194,42 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     the twisted automorphism is linear.  Integral operands (d = 1) are
     neither copied nor divided.
     """
+    x._check(y)
     d = denominator(x, y)
     if d != 1:
         x, y = x.cleared(d), y.cleared(d)
     alg = x.alg
     r = alg.spec.r
     terms = dict(loop_bracket(x, y).terms)
+    # the cocycle, into its own maps: central symbols never meet loop keys
     form = alg._form
     loop_y = _loop_terms(y)
+    acc_a: dict = {}
+    acc_b: dict = {}
     for key1, c1 in x.terms.items():
         if type(key1) is not tuple:
             continue
         b1, j1, m1 = key1
+        a1, w1 = c1.a, c1.b
         for (b2, j2, m2), c2 in loop_y:
             pairing = form.get((b1, b2))
             if pairing is None:
                 continue
-            c = c1 * c2 * pairing
-            for sym, v in reduce_b_da((j2, m2), (j1, m1), r).terms.items():
-                s = terms.get(sym)
-                terms[sym] = v * c if s is None else s + v * c
+            a2, w2 = c2.a, c2.b
+            # reduce_b_da's coefficients are rational: their b is 0
+            cocycle = reduce_b_da((j2, m2), (j1, m1), r).terms.items()
+            if w1 or w2:
+                pa, pb = omega_product(a1, w1, a2, w2)
+                pa, pb = pa * pairing, pb * pairing
+                for sym, v in cocycle:
+                    acc_a[sym] = acc_a.get(sym, 0) + v.a * pa
+                    acc_b[sym] = acc_b.get(sym, 0) + v.a * pb
+            else:
+                p = a1 * a2 * pairing
+                for sym, v in cocycle:
+                    acc_a[sym] = acc_a.get(sym, 0) + v.a * p
+    if acc_a:
+        terms.update(coord_terms(r, acc_a, acc_b))
     out = x._new(terms, y)
     if out.twisted:
         out.validate_twisted()

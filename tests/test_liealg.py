@@ -5,7 +5,7 @@ import pytest
 
 from conftest import TWISTED_SPECS
 from torlie import AlgebraSpec, CycNum, get_algebra
-from torlie.liealg import LieElem
+from torlie.liealg import EchelonBasis, LieElem
 
 A5 = AlgebraSpec("A", 3, 2)
 D4_B = AlgebraSpec("D", 3, 2)
@@ -188,6 +188,44 @@ def test_graded_dims(spec, dims):
     got = [alg.graded_dim(j) for j in range(spec.r)]
     assert got == dims
     assert sum(got) == alg.dim
+
+
+# ---------------------------------------------------------------------------
+# echelon basis
+# ---------------------------------------------------------------------------
+
+def test_echelon_refuses_empty_and_zero_vectors():
+    basis = EchelonBasis()
+    assert basis.add({}) is False and basis.rank == 0
+    assert basis.add({0: CycNum(3), 5: CycNum(3, 0, 0)}) is False and basis.rank == 0
+    assert basis.add({1: CycNum(3, 2)}) is True and basis.rank == 1
+    assert basis.add({}) is False and basis.add({2: CycNum(3)}) is False
+    assert basis.rank == 1
+    with pytest.raises(ValueError, match="order mismatch"):
+        basis.add({0: CycNum(2, 1)})
+
+
+def test_echelon_rejects_an_omega_combination_and_accepts_a_perturbed_one():
+    zero, w, half = CycNum(3), CycNum.omega(3), CycNum(3, Fraction(1, 2))
+    v1 = {0: CycNum(3, 1, 2), 3: CycNum(3, Fraction(-1, 3)), 7: w}
+    v2 = {3: CycNum(3, 2, -1), 5: CycNum(3, 4), 7: CycNum(3, 0, Fraction(3, 2))}
+    combo = {k: w * v1.get(k, zero) + half * v2.get(k, zero) for k in v1.keys() | v2.keys()}
+
+    def spanned():
+        basis = EchelonBasis()
+        assert basis.add(v1) and basis.add(v2) and basis.rank == 2
+        return basis
+
+    basis = spanned()
+    assert basis.add(combo) is False and basis.rank == 2
+    # no combination of v1 and v2 is a single basis vector in their
+    # support, so bumping one coordinate leaves their span
+    for key, bump in ((0, CycNum(3, 1)), (5, w), (11, CycNum(3, Fraction(1, 5)))):
+        perturbed = dict(combo)
+        perturbed[key] = perturbed.get(key, zero) + bump
+        basis = spanned()
+        assert basis.add(perturbed) is True and basis.rank == 3
+        assert basis.add(combo) is False and basis.rank == 3
 
 
 @pytest.mark.parametrize("spec", [A5, D4_G])

@@ -323,6 +323,16 @@ def test_loop_elements_are_immutable():
     assert x == loop(alg, ((alg.N, 1, 0), 2), ((0, 0, -1), 1))
 
 
+def test_brackets_refuse_a_non_element_operand():
+    alg = get_algebra(A5)
+    half = Fraction(1, 2)
+    x = ToroidalElem(loop(alg, ((0, 0, 1), half)), KahlerElem({C0: alg.scalar(1)}))
+    for operand in (3, half, alg.scalar(2), x.loop):
+        for bracket in (toroidal_bracket, loop_bracket):
+            with pytest.raises(TypeError):
+                bracket(x, operand)
+
+
 def test_toroidal_elements_are_immutable():
     alg = get_algebra(A5)
     x = ToroidalElem(loop(alg, ((0, 0, 1), 1)), KahlerElem({C0: alg.scalar(1)}))
