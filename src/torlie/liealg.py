@@ -346,10 +346,6 @@ class LieAlgebra:
             terms[b2] = c if s == 1 else -c
         return LieElem(self, terms)
 
-    def sigma_basis(self, b: int):
-        """(image index, sign) of a basis vector under the automorphism."""
-        return self._sigma[b]
-
     def grade_component(self, x: LieElem, j: int) -> LieElem:
         r = self.spec.r
         acc = self.zero()

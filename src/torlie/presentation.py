@@ -346,6 +346,32 @@ def _a(spec, i, k) -> ToroidalElem:
     return psi_image(GenSym("a", i, k), spec)
 
 
+def serre_word(spec: AlgebraSpec, sign: str, i: int, j: int,
+               degrees: tuple) -> ToroidalElem:
+    """[X(+-a_i, k_q), ..., [X(+-a_i, k_1), X(+-a_j, k_0)]] for degrees
+    (k_0, ..., k_q), bracketed onto the word of degrees[:-1].
+
+    That shorter word comes from `_serre_prefix`, a small bounded cache.
+    `enumerate_cases` lists a Serre family's degree tuples in `product`
+    order, so the cases that share a prefix are adjacent and the cache
+    brackets each shared prefix once.  Sharing is exact: a cached word
+    is the immutable element that the same brackets of the same images
+    would build again.
+    """
+    if len(degrees) == 1:
+        return _x(spec, sign, j, degrees[0])
+    return toroidal_bracket(_x(spec, sign, i, degrees[-1]),
+                            _serre_prefix(spec, sign, i, j, degrees[:-1]))
+
+
+# Prefixes kept by serre_word.  A word has at most 4 brackets (S_ij >= -3),
+# so between two uses of a prefix that is itself a bracket at most 1 + p
+# other prefixes are cached, for pools of p degrees: 32 catches every
+# shared bracket up to p = 31, far past any window a run takes.
+SERRE_PREFIXES_KEPT = 32
+_serre_prefix = lru_cache(maxsize=SERRE_PREFIXES_KEPT)(serre_word)
+
+
 def relation_sides(rel: RelationId, spec: AlgebraSpec):
     """(lhs, rhs): brackets of images vs the cataloged closed form."""
     row, const = _row(spec, rel.family)
@@ -356,10 +382,7 @@ def relation_sides(rel: RelationId, spec: AlgebraSpec):
         operand = _a(spec, i, k) if sign == "" else _x(spec, sign, i, k)
         return toroidal_bracket(psi_image(GenSym("c"), spec), operand), _zero(spec)
     if row.shape == "serre":
-        inner = _x(spec, sign, j, degrees[0])
-        for kq in degrees[1:]:
-            inner = toroidal_bracket(_x(spec, sign, i, kq), inner)
-        return inner, _zero(spec)
+        return serre_word(spec, sign, i, j, degrees), _zero(spec)
     k, l = degrees
     a = build_cartan(spec).A_ext
     if row.shape == "aa":

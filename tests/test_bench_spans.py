@@ -20,11 +20,15 @@ SPANS = BENCH / "spans.py"
 A5 = AlgebraSpec("A", 3, 2)
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_bench_module("bench_spans", SPANS)
 
 
 def torlie_names() -> dict:
@@ -62,6 +66,16 @@ def test_span_recorder_installs_and_restores():
     after = torlie_names()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_benchmark_passes_start_without_serre_words(monkeypatch):
+    # run.py imports its sibling spans.py by plain name
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("bench_run", BENCH / "run.py")
+    presentation.verify_all(A5, 1, 2)
+    assert presentation._serre_prefix.cache_info().currsize > 0
+    assert "torlie.presentation._serre_prefix" in run.clear_run_caches()
+    assert presentation._serre_prefix.cache_info().currsize == 0
 
 
 def test_benchmark_selftest_passes():

@@ -310,8 +310,11 @@ def _same_reports(a, b):
 
 
 def test_verify_all_parallel_matches_serial():
-    serial = verify_all(D4_G, 1, 1, include_proof=False)
-    parallel = verify_all(D4_G, 1, 1, include_proof=False, jobs=2)
+    # at window 2, pool chunks of 64 cases cut the runs of 5 and 25
+    # Serre cases that share a prefix; each worker fills its own word cache
+    serial = verify_all(D4_G, 2, 2, include_proof=False)
+    presentation._serre_prefix.cache_clear()
+    parallel = verify_all(D4_G, 2, 2, include_proof=False, jobs=2)
     assert serial.passed and parallel.passed
     _same_reports(serial, parallel)
 
@@ -352,15 +355,90 @@ def test_psi_image_is_cached_and_shared():
 @pytest.mark.parametrize("spec", [A5, D4_G])
 def test_reports_do_not_depend_on_the_image_cache(spec, monkeypatch):
     psi_image.cache_clear()
+    presentation._serre_prefix.cache_clear()
     cold = verify_all(spec, 2, 2)
     assert psi_image.cache_info().currsize > 0
     warm = verify_all(spec, 2, 2)
     assert psi_image.cache_info().hits > 0
     _same_reports(cold, warm)
     monkeypatch.setattr(presentation, "psi_image", psi_image.__wrapped__)
+    presentation._serre_prefix.cache_clear()
     _same_reports(cold, verify_all(spec, 2, 2))
     for g in all_gens(spec, 2)[::3]:
         assert psi_image(g, spec) == psi_image.__wrapped__(g, spec)
+
+
+# ---------------------------------------------------------------------------
+# Serre words on shared prefixes
+# ---------------------------------------------------------------------------
+
+def _serre_cases(spec, window, serre_cap):
+    return [rel for family in families_for(spec)
+            if presentation.CATALOG[family].shape == "serre"
+            for rel in enumerate_cases(spec, family, window, serre_cap)]
+
+
+def _nested_words(spec, rel) -> list:
+    """The words of degrees[:1], degrees[:2], ..., bracketed from the
+    inside out as the relation reads, nothing shared."""
+    i, j = rel.indices
+    x = lambda index, k: psi_image(GenSym("x" + rel.sign, index, k), spec)
+    words = [x(j, rel.degrees[0])]
+    for k in rel.degrees[1:]:
+        words.append(toroidal_bracket(x(i, k), words[-1]))
+    return words
+
+
+@pytest.mark.parametrize("spec, window, serre_cap",
+                         [(spec, 1, 2) for spec in TWISTED_SPECS + UNTWISTED_SPECS]
+                         + [(D4_G, 3, 3)],
+                         ids=lambda v: f"{v.name} r={v.r}" if hasattr(v, "r") else str(v))
+def test_serre_words_match_nested_brackets(spec, window, serre_cap):
+    presentation._serre_prefix.cache_clear()
+    cases = _serre_cases(spec, window, serre_cap)
+    nonzero_prefixes = 0
+    for rel in cases:
+        want = _nested_words(spec, rel)
+        lhs, rhs = relation_sides(rel, spec)
+        assert lhs == want[-1] and rhs.is_zero()
+        # the prefixes the case was built on, as the cache now holds them
+        for length, word in enumerate(want[:-1], 1):
+            got = presentation._serre_prefix(spec, rel.sign, *rel.indices,
+                                             rel.degrees[:length])
+            assert got == word
+            nonzero_prefixes += bool(word)
+    assert cases and nonzero_prefixes > len(cases) // 2
+    if serre_cap == 3:
+        assert max(len(rel.degrees) for rel in cases) == 5
+
+
+def test_serre_words_bracket_each_shared_prefix_once(monkeypatch):
+    calls = []
+    bracket = presentation.toroidal_bracket
+
+    def counted(x, y):
+        calls.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(presentation, "toroidal_bracket", counted)
+    presentation._serre_prefix.cache_clear()
+    cases = _serre_cases(D4_G, 3, 3)
+    for rel in cases:
+        relation_sides(rel, D4_G)
+    words = {(rel.sign, rel.indices, rel.degrees[:length])
+             for rel in cases for length in range(2, len(rel.degrees) + 1)}
+    assert len(calls) == len(words) < sum(len(rel.degrees) - 1 for rel in cases)
+
+
+def test_serre_prefix_cache_is_bounded_and_clearable():
+    cache = presentation._serre_prefix
+    assert cache.cache_info().maxsize == presentation.SERRE_PREFIXES_KEPT <= 64
+    cache.cache_clear()
+    verify_all(D4_G, 2, 2)
+    info = cache.cache_info()
+    assert info.hits > 0 and 0 < info.currsize <= info.maxsize
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
 
 
 class _RecordingPool:

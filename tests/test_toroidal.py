@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import TWISTED_SPECS
-from torlie import AlgebraSpec, get_algebra, toroidal
-from torlie.coeff import denominator
+from torlie import AlgebraSpec, get_algebra
+from torlie.coeff import CycNum, denominator, omega_pow
 from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
 from torlie.liealg import LieElem
 from torlie.rootdata import build_cartan, enumerate_roots
 from torlie.toroidal import (
     LoopElem,
     ToroidalElem,
+    _sigma_coords,
     fix_project,
     loop_bracket,
     sigma_bar,
@@ -261,13 +262,8 @@ def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
     # a twisted automorphism with one wrong sign makes the check fail
     (x, y), want = next((p, w) for p, w in zip(pairs, wants) if w.loop)
     b0 = next(iter(want.loop.terms))[0]
-    sigma_term = toroidal._sigma_term
-
-    def flipped(alg, key, c):
-        image, v = sigma_term(alg, key, c)
-        return image, (-v if key[0] == b0 else v)
-
-    monkeypatch.setattr(toroidal, "_sigma_term", flipped)
+    image, sign = alg._sigma[b0]
+    monkeypatch.setitem(alg._sigma, b0, (image, -sign))
     with pytest.raises(ValueError, match="not fixed by the twisted automorphism"):
         toroidal_bracket(x, y)
 
@@ -295,12 +291,7 @@ def test_twisted_validation():
             fixed = fix_project(raw)
             dropped = LoopElem(alg, dict(list(fixed.terms.items())[1:]))
             for x in (raw, fixed, dropped, fixed + raw):
-                try:
-                    ToroidalElem(x, twisted=True)
-                    accepted = True
-                except ValueError:
-                    accepted = False
-                assert accepted == (sigma_bar(x) == x)
+                assert _accepted(x) == (sigma_bar(x) == x)
             assert sigma_bar(fixed) == fixed
 
     # a sum or difference with an untwisted element is untwisted
@@ -309,6 +300,67 @@ def test_twisted_validation():
     for a, b in ((fixed, plain), (plain, fixed)):
         assert not (a + b).twisted and not (a - b).twisted
     assert (fixed + fixed).twisted and (fixed - fixed * 3).twisted and (-fixed).twisted
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("A", 2, 1), A5, D4_TRIALITY],
+                         ids=lambda s: f"{s.name} r={s.r}")
+def test_sigma_coords_match_the_omega_product(spec):
+    # the coordinate rotation against s * c * w^(-j) computed on CycNum
+    alg = get_algebra(spec)
+    r = spec.r
+    coords = [(a, b) for a in (0, 1, -2, Fraction(3, 2)) for b in (0, 1, Fraction(-1, 3))
+              if r == 3 or b == 0]
+    for v in range(alg.dim):
+        v2, s = alg._sigma[v]
+        for j in range(-3, 4):
+            for a, b in coords:
+                want = CycNum(r, a, b) * omega_pow(r, -j) * s
+                assert _sigma_coords(alg._sigma, r, (v, j, 5), a, b) == (
+                    (v2, j, 5), want.a, want.b)
+
+
+def _accepted(x) -> bool:
+    try:
+        ToroidalElem(x, twisted=True)
+    except ValueError:
+        return False
+    return True
+
+
+def _omega_loop(alg, rng, size=5):
+    """A random loop element whose coefficients have both coordinates."""
+    r = alg.spec.r
+    terms = {}
+    for _ in range(size):
+        key = (rng.randrange(alg.dim), rng.randint(-4, 4), rng.randint(-1, 1))
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in "ab")
+        terms[key] = terms.get(key, alg.zero_scalar) + CycNum(r, a, b)
+    return LoopElem(alg, terms)
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("A", 2, 1), A5, D4_TRIALITY],
+                         ids=lambda s: f"{s.name} r={s.r}")
+def test_coordinate_check_agrees_with_sigma_bar(spec):
+    alg = get_algebra(spec)
+    rng = random.Random(7 * spec.N + spec.r)
+    rotated = set()  # residues -j mod 3 of the omega-coordinates checked
+    changed = rejected = 0
+    for _ in range(30):
+        fixed = fix_project(_omega_loop(alg, rng))
+        assert _accepted(fixed) and sigma_bar(fixed) == fixed
+        rotated |= {-j % 3 for (_, j, _), c in fixed.terms.items() if c.b}
+        # one coordinate of one term changed
+        for key, c in fixed.terms.items():
+            for da, db in ((1, 0), (0, 1), (-c.a, 0)):
+                terms = dict(fixed.terms)
+                terms[key] = CycNum(spec.r, c.a + da, c.b + db)
+                x = LoopElem(alg, terms)
+                accepted = _accepted(x)
+                assert accepted == (sigma_bar(x) == x)
+                changed += x != fixed
+                rejected += not accepted
+    assert changed > 100 and (rejected > 50 if spec.r > 1 else rejected == 0)
+    assert rotated == ({0, 1, 2} if spec.r == 3 else set())
 
 
 def test_loop_elements_are_immutable():
