@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--window", type=int, default=4)
     v.add_argument("--serre-cap", type=int, default=2)
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--jobs", type=int, default=1)
 
     i = sub.add_parser("info", help="print Cartan and folding data")
     _add_algebra_flags(i)
@@ -118,7 +117,7 @@ def _matrix_rows(mat):
 
 
 def cmd_verify(spec: AlgebraSpec, args, out) -> int:
-    summary = verify_all(spec, args.window, args.serre_cap, jobs=args.jobs)
+    summary = verify_all(spec, args.window, args.serre_cap)
     if args.format == "json":
         json.dump(summary.to_json_dict(), out, indent=2)
         out.write("\n")

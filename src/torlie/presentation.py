@@ -27,10 +27,9 @@ tabulated constant is exactly reproduced by the extension cocycle.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, product
 
 from .coeff import CycNum, omega_pow
@@ -495,36 +494,20 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def verify_all(spec: AlgebraSpec, window: int, serre_cap: int = 2,
-               include_proof: bool = True, jobs: int = 1) -> VerifySummary:
+def verify_all(spec: AlgebraSpec, window: int, serre_cap: int = 2) -> VerifySummary:
     """Run every relation family plus the named bookkeeping cases.
 
-    The cases of all families are evaluated in one sweep, in case order.
-    The sweep runs in a pool of min(jobs, cores, cases) processes when
-    that is more than one, and in this process otherwise.
+    The run stays in this process: each family's cases are evaluated in
+    case order, and for r > 1 the bookkeeping family "P" follows them.
     """
     if window < 1 or serre_cap < 1:
         raise ConfigError("window and serre cap must be positive")
-    if jobs < 1:
-        raise ConfigError("jobs must be positive")
-    families = families_for(spec)
-    # enumerate_cases lists each family's cases in case-id order
-    per_family = [enumerate_cases(spec, f, window, serre_cap) for f in families]
-    cases = [rel for fam_cases in per_family for rel in fam_cases]
-    evaluate = partial(evaluate_case, spec)
-    workers = min(jobs, os.cpu_count() or 1, len(cases))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = iter(list(pool.map(evaluate, cases, chunksize=64)))
-    else:
-        reports = map(evaluate, cases)
     summary = VerifySummary(spec, window, serre_cap, [
-        FamilyResult(family, [next(reports) for _ in fam_cases])
-        for family, fam_cases in zip(families, per_family)
+        FamilyResult(family, [evaluate_case(spec, rel)
+                              for rel in enumerate_cases(spec, family, window, serre_cap)])
+        for family in families_for(spec)
     ])
-    if include_proof and spec.r > 1:
+    if spec.r > 1:
         summary.families.append(FamilyResult("P", proof_cases(spec, window)))
     return summary
 

@@ -244,12 +244,13 @@ def test_parse_generator_roundtrip():
         parse_generator("a1(2)x")
 
 
-def test_verify_rejects_nonpositive_jobs(capsys):
+def test_verify_has_no_jobs_option(capsys):
+    # verify runs in one process and takes no --jobs option
     code, out, err = run(
-        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--jobs", "0",
+        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--jobs", "2",
     )
     assert code == 2
-    assert out == "" and "jobs" in err
+    assert out == "" and "unrecognized arguments: --jobs 2" in err
 
 
 def test_verify_internal_value_error_exit_code(capsys, monkeypatch):

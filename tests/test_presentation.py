@@ -309,18 +309,7 @@ def _same_reports(a, b):
     assert a.render_text() == b.render_text()
 
 
-def test_verify_all_parallel_matches_serial():
-    # at window 2, pool chunks of 64 cases cut the runs of 5 and 25
-    # Serre cases that share a prefix; each worker fills its own word cache
-    serial = verify_all(D4_G, 2, 2, include_proof=False)
-    presentation._serre_prefix.cache_clear()
-    parallel = verify_all(D4_G, 2, 2, include_proof=False, jobs=2)
-    assert serial.passed and parallel.passed
-    _same_reports(serial, parallel)
-
-
-def test_verify_all_parallel_matches_serial_failures(monkeypatch):
-    # forked workers inherit the patched module global
+def test_verify_all_reports_only_the_failing_families(monkeypatch):
     true_sides = presentation.relation_sides
 
     def broken(rel, spec):
@@ -330,13 +319,11 @@ def test_verify_all_parallel_matches_serial_failures(monkeypatch):
         return lhs, rhs
 
     monkeypatch.setattr(presentation, "relation_sides", broken)
-    serial = verify_all(A5, 1, 1, include_proof=False)
-    parallel = verify_all(A5, 1, 1, include_proof=False, jobs=2)
-    assert not serial.passed
-    failures = [rep for fr in serial.families for rep in fr.failures]
+    summary = verify_all(A5, 1, 1)
+    assert not summary.passed
+    failures = [rep for fr in summary.families for rep in fr.failures]
     assert {rep.rel.family for rep in failures} == {"2", "13"}
     assert len({rep.diff_text for rep in failures}) > 1
-    _same_reports(serial, parallel)
 
 
 def test_psi_image_is_cached_and_shared():
@@ -441,44 +428,6 @@ def test_serre_prefix_cache_is_bounded_and_clearable():
     assert cache.cache_info().currsize == 0
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus, jobs, want", [
-    (4, 100_000, 4),          # capped by the cores
-    (None, 100_000, None),    # unknown core count: serial
-    (100_000, 100_000, "cases"),  # capped by the number of cases
-    (8, 1, None),             # serial on request
-])
-def test_verify_all_caps_the_pool(monkeypatch, cpus, jobs, want):
-    import concurrent.futures
-    import os
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    summary = verify_all(D3, 1, 1, include_proof=False, jobs=jobs)
-    if want == "cases":
-        want = summary.total_cases
-    assert _RecordingPool.sizes == ([] if want is None else [want])
-    _same_reports(summary, verify_all(D3, 1, 1, include_proof=False))
-
-
 def test_proof_cases_pass():
     for spec in TWISTED_SPECS:
         reports = proof_cases(spec, 3)
@@ -552,6 +501,6 @@ def test_span_check_rejects_negative_windows():
 def test_verify_all_rejects_nonpositive_parameters():
     from torlie import ConfigError
 
-    for kwargs in ({"window": 0}, {"serre_cap": 0}, {"jobs": 0}):
+    for kwargs in ({"window": 0}, {"serre_cap": 0}):
         with pytest.raises(ConfigError):
             verify_all(A5, **{"window": 1, **kwargs})
