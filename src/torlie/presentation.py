@@ -19,10 +19,12 @@ admits every integer for every index.
 For r > 1 the relation families are numbered "1".."17"; the untwisted
 presentation is checked through families "U1".."U6".  `CATALOG` is the
 one place where they are written down: one row per family, with its
-constants per column (type A, type D, triality, untwisted).  Each family
-is evaluated two-sided: the left side by actual brackets of generator
-images, the right side from the row's closed form, so a pass means the
-tabulated constant is exactly reproduced by the extension cocycle.
+index sources, signs and shape.  Every constant a row reads comes from
+`relation_constant`, a function of the Cartan matrix, sigma and the
+highest root alone.  Each family is evaluated two-sided: the left side
+by actual brackets of generator images, the right side from the row's
+closed form, so a pass means the constant fixed by the root data is
+exactly reproduced by the extension cocycle.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import chain, product
 from .coeff import CycNum, omega_pow
 from .kahler import Bt, C0, KahlerElem
 from .liealg import EchelonBasis, LieElem, get_algebra
-from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit
+from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit, root_form, sigma_root
 from .toroidal import LoopElem, ToroidalElem, toroidal_bracket
 
 
@@ -148,41 +150,34 @@ class Family:
     """One row of the relation catalog.
 
     `index(n)` lists, for pres_rank n, the triples (indices shown in the
-    case id, i, j); `signs` are the signs each index pair is taken with;
-    `const` maps every catalog column the family belongs to ("A", "D",
-    "triality", "untwisted") to the constant its `shape` reads.
+    case id, i, j); `signs` are the signs each index pair is taken with.
+    A serre row checks the pairs with S_ij == `depth`, or every pair
+    i != j when `depth` is None.  The rows whose id starts with "U" make
+    up the untwisted presentation (r = 1), the others the twisted one.
     """
 
     id: str
     index: Callable
     signs: tuple
     shape: str
-    const: dict
+    depth: int | None = None
 
 
 # The six shapes, with k, l the degrees, d = 1 if k == -l else 0, s = +-1
-# the sign, A the extended matrix and S = serre_matrix:
+# the sign, S = serre_matrix, m = relation_constant(spec, shape, i, j, k mod r)
+# and (p, q) the pair it gives for xy:
 #
-#   aa     [a_i(k), a_j(l)] = m A_ij k d c                       const m
-#   ax     [a_i(k), X(+-a_j, l)] = s m A_ij X(+-a_j, k+l),
-#          or 0 unless step divides k                        const (m, step)
+#   aa     [a_i(k), a_j(l)] = m k d c
+#   ax     [a_i(k), X(+-a_j, l)] = s m X(+-a_j, k+l)
 #   xx     [X(+-a_i, k), X(+-a_i, l)] = 0
 #   xy     [X(+a_i, k), X(-a_j, l)] = 0 for i != j, else
-#          -p a_i(k+l) - q k d c, where (p, q) is const[0] at i = 0,
-#          const[2] at i = n and const[1] in between
+#          -p a_i(k+l) - q k d c
 #   serre  [X(+-a_i, k_1), ..., [X(+-a_i, k_q), X(+-a_j, k_0)]] = 0 over
 #          1 - S_ij brackets at degrees up to the serre cap, for the pairs
-#          with S_ij == const (every pair i != j when const is None)
+#          with S_ij == depth (every pair i != j when depth is None)
 #   c      [c, a_i(k)] = [c, X(+-a_i, k)] = 0
-#
-# Columns A and D have r = 2, triality has r = 3 and the untwisted column
-# r = 1, so every constant is a plain integer.
 
 PM = ("+", "-")
-
-
-def _cols(a, d, triality):
-    return {"A": a, "D": d, "triality": triality}
 
 
 def _nodes(n):
@@ -206,66 +201,77 @@ def _finite_pairs(n, upper):
 
 CATALOG = {row.id: row for row in (
     # twisted presentation, r > 1
-    Family("1", lambda n: [((), 0, 0)], ("",), "aa", _cols(1, 1, 1)),
-    Family("2", lambda n: [((j,), 0, j) for j in range(1, n + 1)], ("",), "aa",
-           _cols(2, 2, 3)),
-    Family("3", lambda n: _finite_pairs(n, True), ("",), "aa", _cols(2, 4, 3)),
-    Family("4", lambda n: [((n - 1, n), n - 1, n)], ("",), "aa", _cols(2, 4, 3)),
-    Family("5", lambda n: [((n, n), n, n)], ("",), "aa", _cols(4, 2, 9)),
-    Family("6", lambda n: [((j,), 0, j) for j in range(n + 1)], PM, "ax",
-           _cols((1, 1), (1, 1), (1, 1))),
-    Family("7", lambda n: [((i,), i, 0) for i in range(1, n + 1)], PM, "ax",
-           _cols((2, 2), (2, 2), (3, 1))),
-    Family("8", lambda n: _finite_pairs(n, False), PM, "ax",
-           _cols((1, 1), (2, 1), (1, 1))),
-    Family("9", lambda n: [((n - 1, n), n - 1, n)], PM, "ax",
-           _cols((1, 2), (2, 1), (1, 3))),
-    Family("10", lambda n: [((n, n - 1), n, n - 1)], PM, "ax",
-           _cols((2, 1), (1, 2), (3, 1))),
-    Family("11", lambda n: [((n, n), n, n)], PM, "ax",
-           _cols((2, 1), (1, 1), (3, 1))),
-    Family("12", _nodes, PM, "xx", _cols(None, None, None)),
-    Family("13", _pairs, ("",), "xy",
-           _cols(((1, 1), (1, 2), (2, 4)), ((1, 1), (2, 4), (1, 2)),
-                 ((1, 1), (1, 3), (3, 9)))),
-    Family("14", _off_diagonal, PM, "serre", _cols(0, 0, 0)),
-    Family("15", _off_diagonal, PM, "serre", _cols(-1, -1, -1)),
-    Family("16", _off_diagonal, PM, "serre", _cols(-2, -2, -2)),
-    Family("17", _off_diagonal, PM, "serre", _cols(-3, -3, -3)),
+    Family("1", lambda n: [((), 0, 0)], ("",), "aa"),
+    Family("2", lambda n: [((j,), 0, j) for j in range(1, n + 1)], ("",), "aa"),
+    Family("3", lambda n: _finite_pairs(n, True), ("",), "aa"),
+    Family("4", lambda n: [((n - 1, n), n - 1, n)], ("",), "aa"),
+    Family("5", lambda n: [((n, n), n, n)], ("",), "aa"),
+    Family("6", lambda n: [((j,), 0, j) for j in range(n + 1)], PM, "ax"),
+    Family("7", lambda n: [((i,), i, 0) for i in range(1, n + 1)], PM, "ax"),
+    Family("8", lambda n: _finite_pairs(n, False), PM, "ax"),
+    Family("9", lambda n: [((n - 1, n), n - 1, n)], PM, "ax"),
+    Family("10", lambda n: [((n, n - 1), n, n - 1)], PM, "ax"),
+    Family("11", lambda n: [((n, n), n, n)], PM, "ax"),
+    Family("12", _nodes, PM, "xx"),
+    Family("13", _pairs, ("",), "xy"),
+    Family("14", _off_diagonal, PM, "serre", 0),
+    Family("15", _off_diagonal, PM, "serre", -1),
+    Family("16", _off_diagonal, PM, "serre", -2),
+    Family("17", _off_diagonal, PM, "serre", -3),
     # untwisted presentation, r = 1
-    Family("U1", _nodes, ("", "+", "-"), "c", {"untwisted": None}),
-    Family("U2", _pairs, ("",), "aa", {"untwisted": 1}),
-    Family("U3", _pairs, PM, "ax", {"untwisted": (1, 1)}),
-    Family("U4", _pairs, ("",), "xy", {"untwisted": ((1, 1),) * 3}),
-    Family("U5", _nodes, PM, "xx", {"untwisted": None}),
-    Family("U6", _off_diagonal, PM, "serre", {"untwisted": None}),
+    Family("U1", _nodes, ("", "+", "-"), "c"),
+    Family("U2", _pairs, ("",), "aa"),
+    Family("U3", _pairs, PM, "ax"),
+    Family("U4", _pairs, ("",), "xy"),
+    Family("U5", _nodes, PM, "xx"),
+    Family("U6", _off_diagonal, PM, "serre"),
 )}
 
 
-def _column(spec: AlgebraSpec) -> str:
-    if spec.r == 1:
-        return "untwisted"
-    return "triality" if spec.r == 3 else spec.family
+def families_for(spec: AlgebraSpec):
+    return tuple(f for f in CATALOG if f.startswith("U") == (spec.r == 1))
 
 
-def _row(spec: AlgebraSpec, family: str):
-    """The catalog row of a family and its constant in the spec's column."""
+def _row(spec: AlgebraSpec, family: str) -> Family:
+    """The catalog row of a family of the spec's presentation."""
     row = CATALOG.get(family)
-    if row is None or _column(spec) not in row.const:
+    if row is None or family.startswith("U") != (spec.r == 1):
         kind = "untwisted family" if spec.r == 1 else "family"
         raise ValueError(f"unknown {kind} {family}")
-    return row, row.const[_column(spec)]
+    return row
 
 
 @lru_cache(maxsize=None)
-def _slots(family: str, n: int) -> dict:
+def _slots(spec: AlgebraSpec, family: str) -> dict:
     """Indices shown in a case id -> the (i, j) the row evaluates."""
-    return {shown: (i, j) for shown, i, j in CATALOG[family].index(n)}
+    return {shown: (i, j) for shown, i, j in CATALOG[family].index(spec.pres_rank)}
 
 
-def families_for(spec: AlgebraSpec):
-    column = _column(spec)
-    return tuple(f for f, row in CATALOG.items() if column in row.const)
+@lru_cache(maxsize=None)
+def relation_constant(spec: AlgebraSpec, shape: str, i: int, j: int, e: int):
+    """The constant of an aa, ax or xy row at nodes i, j and degree
+    residue e = k mod r.  With n_0 = 1, n_i = r elsewhere and
+
+        g_ij(e) = sum over u < n_i of w^(-ue) (sigma^u v_i | v_j),
+
+    v_0 = -theta and v_i = alpha_i, it is n_j g_ij(e) for aa, g_ij(e)
+    for ax, and for xy (at i = j) the pair (p, n_i p), where p = 1 at
+    i = 0 and the degree step of i elsewhere.  Only the Cartan matrix,
+    sigma and theta enter, never a bracket of the algebra, so `verify`
+    does not compare the construction with itself.
+    """
+    n_i, n_j = (1 if p == 0 else spec.r for p in (i, j))
+    if shape == "xy":
+        p = 1 if i == 0 else degree_modulus(spec, i)
+        return p, n_i * p
+    theta = build_cartan(spec).theta
+    vi, vj = (tuple(-c for c in theta) if p == 0 else
+              tuple(int(t == p) for t in range(1, spec.N + 1)) for p in (i, j))
+    g = CycNum.zero(spec.r)
+    for u in range(n_i):
+        g = g + omega_pow(spec.r, -u * e) * root_form(vi, vj, spec)
+        vi = sigma_root(vi, spec)
+    return g * n_j if shape == "aa" else g
 
 
 def _degs(spec: AlgebraSpec, i: int, window: int):
@@ -304,12 +310,12 @@ def serre_exceptions(spec: AlgebraSpec) -> list:
 def enumerate_cases(spec: AlgebraSpec, family: str, window: int,
                     serre_cap: int = 2):
     """All admissible relation instances of one family in the window."""
-    row, const = _row(spec, family)
+    row = _row(spec, family)
     cases = []
     for shown, i, j in row.index(spec.pres_rank):
         if row.shape == "serre":
             s = serre_matrix(spec)
-            if const is not None and s[i][j] != const:
+            if row.depth is not None and s[i][j] != row.depth:
                 continue
             cap = min(window, serre_cap)
             pools = [_degs(spec, j, cap)] + [_degs(spec, i, cap)] * (1 - s[i][j])
@@ -373,8 +379,8 @@ _serre_prefix = lru_cache(maxsize=SERRE_PREFIXES_KEPT)(serre_word)
 
 def relation_sides(rel: RelationId, spec: AlgebraSpec):
     """(lhs, rhs): brackets of images vs the cataloged closed form."""
-    row, const = _row(spec, rel.family)
-    i, j = _slots(rel.family, spec.pres_rank)[rel.indices]
+    row = _row(spec, rel.family)
+    i, j = _slots(spec, rel.family)[rel.indices]
     sign, degrees = rel.sign, rel.degrees
     if row.shape == "c":
         (k,) = degrees
@@ -383,24 +389,23 @@ def relation_sides(rel: RelationId, spec: AlgebraSpec):
     if row.shape == "serre":
         return serre_word(spec, sign, i, j, degrees), _zero(spec)
     k, l = degrees
-    a = build_cartan(spec).A_ext
-    if row.shape == "aa":
-        lhs = toroidal_bracket(_a(spec, i, k), _a(spec, j, l))
-        return lhs, _central_c(spec, const * a[i][j] * k if k == -l else 0)
-    if row.shape == "ax":
-        lhs = toroidal_bracket(_a(spec, i, k), _x(spec, sign, j, l))
-        m, step = const
-        coeff = (-1 if sign == "-" else 1) * m * a[i][j] if k % step == 0 else 0
-        # a zero constant leaves X(+-a_j, k+l) unbuilt: k+l may be inadmissible
-        return lhs, _x(spec, sign, j, k + l) * coeff if coeff else _zero(spec)
     if row.shape == "xx":
         return toroidal_bracket(_x(spec, sign, i, k), _x(spec, sign, i, l)), _zero(spec)
-    lhs = toroidal_bracket(_x(spec, "+", i, k), _x(spec, "-", j, l))
-    if i != j:
-        return lhs, _zero(spec)
-    p, q = const[0 if i == 0 else 2 if i == spec.pres_rank else 1]
+    if row.shape == "xy" and i != j:
+        return toroidal_bracket(_x(spec, "+", i, k), _x(spec, "-", j, l)), _zero(spec)
+    const = relation_constant(spec, row.shape, i, j, k % spec.r)
+    if row.shape == "aa":
+        lhs = toroidal_bracket(_a(spec, i, k), _a(spec, j, l))
+        return lhs, _central_c(spec, const * k if k == -l else 0)
+    if row.shape == "ax":
+        lhs = toroidal_bracket(_a(spec, i, k), _x(spec, sign, j, l))
+        coeff = -const if sign == "-" else const
+        # a zero constant leaves X(+-a_j, k+l) unbuilt: k+l may be inadmissible
+        return lhs, _x(spec, sign, j, k + l) * coeff if coeff else _zero(spec)
+    lhs = toroidal_bracket(_x(spec, "+", i, k), _x(spec, "-", i, l))
+    p, q = const
     rhs = _a(spec, i, k + l) * (-p)
-    if k == -l and q:
+    if k == -l:
         rhs = rhs + _central_c(spec, -q * k)
     return lhs, rhs
 

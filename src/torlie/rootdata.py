@@ -60,12 +60,9 @@ class AlgebraSpec:
 
     @property
     def pres_rank(self) -> int:
-        """Number of non-affine generator indices I = {1..pres_rank}."""
-        if self.r == 1:
-            return self.N
-        if self.r == 3:
-            return 2
-        return self.n
+        """Number of non-affine generator indices I = {1..pres_rank}: one
+        per sigma-orbit of the finite nodes, counted once in build_cartan."""
+        return len(build_cartan(self).orbits)
 
     @property
     def name(self) -> str:
@@ -92,8 +89,9 @@ class CartanData:
     """All index-level data attached to a spec.
 
     Matrices are tuples of tuples of ints.  `sigma` is the diagram
-    automorphism as a 1-based permutation tuple (entry 0 unused) and
-    `theta` the highest root.  `pairing` is the one computed folding
+    automorphism as a 1-based permutation tuple (entry 0 unused),
+    `orbits` its orbits on the nodes 1..N, each led by its least node,
+    and `theta` the highest root.  `pairing` is the one computed folding
     matrix, S[p][m] = (w_m | c_p) for p, m = 0..pres_rank, with
     w_0 = c_0 = -theta, w_m = alpha_m and c_p the sum of alpha_u over
     the sigma-orbit of p.  `A_folded` is S without row and column 0,
@@ -102,6 +100,7 @@ class CartanData:
 
     A_prime: tuple
     sigma: tuple
+    orbits: tuple
     pairing: tuple
     A_folded: tuple
     A_ext: tuple
@@ -149,18 +148,9 @@ def orbit(spec: AlgebraSpec, node: int) -> tuple:
     return _orbit(build_cartan(spec).sigma, node)
 
 
-def _theta_coords(spec: AlgebraSpec) -> Root:
-    N, n = spec.N, spec.n
-    if spec.family == "A":
-        return tuple([1] * N)
-    if spec.r == 3:
-        return (1, 2, 1, 1)
-    return tuple([1] + [2] * (n - 2) + [1, 1])
-
-
 @lru_cache(maxsize=None)
 def build_cartan(spec: AlgebraSpec) -> CartanData:
-    N, n = spec.N, spec.pres_rank
+    N = spec.N
     A = [[0] * N for _ in range(N)]
     for i in range(N):
         A[i][i] = 2
@@ -168,19 +158,21 @@ def build_cartan(spec: AlgebraSpec) -> CartanData:
         A[i - 1][j - 1] = A[j - 1][i - 1] = -1
     A_prime = tuple(tuple(row) for row in A)
     sigma = _sigma_perm(spec)
-    theta = _theta_coords(spec)
+    theta = max(_positive_roots(A_prime), key=sum)  # the one of greatest height
 
-    orbits = [_orbit(sigma, p) for p in range(1, n + 1)]
+    # an orbit walked from node p is led by its least node exactly once
+    orbits = tuple(nodes for nodes in (_orbit(sigma, p) for p in range(1, N + 1))
+                   if nodes[0] == min(nodes))
     minus_theta = tuple(-c for c in theta)
-    weights = [minus_theta] + [tuple(int(t == m) for t in range(1, N + 1))
-                               for m in range(1, n + 1)]
+    weights = [minus_theta] + [tuple(int(t == nodes[0]) for t in range(1, N + 1))
+                               for nodes in orbits]
     coroots = [minus_theta] + [tuple(int(t in nodes) for t in range(1, N + 1))
                                for nodes in orbits]
     S = tuple(tuple(_form(A_prime, w, c) for w in weights) for c in coroots)
     A_folded = tuple(row[1:] for row in S[1:])
-    A_ext = tuple((S[0][p],) + S[p][1:] for p in range(n + 1))
+    A_ext = tuple((S[0][p],) + row[1:] for p, row in enumerate(S))
     d = tuple(Fraction(1, len(nodes)) for nodes in orbits)
-    return CartanData(A_prime, sigma, S, A_folded, A_ext, d, theta)
+    return CartanData(A_prime, sigma, orbits, S, A_folded, A_ext, d, theta)
 
 
 def _form(A, a, b):
@@ -199,32 +191,27 @@ def root_form(a, b, spec: AlgebraSpec) -> Fraction:
     return Fraction(_form(build_cartan(spec).A_prime, a, b))
 
 
+def _positive_roots(A) -> set:
+    """The positive roots of the simply laced Cartan matrix A.
+
+    They are grown by simple-root ladders: gamma + alpha_i is a root
+    exactly when (gamma|alpha_i) = -1 in the simply laced case.
+    """
+    N = len(A)
+    frontier = {tuple(int(t == i) for t in range(N)) for i in range(N)}
+    pos = set(frontier)
+    while frontier:
+        frontier = {g[:i] + (g[i] + 1,) + g[i + 1:] for g in frontier for i in range(N)
+                    if sum(A[i][j] * g[j] for j in range(N) if g[j]) == -1} - pos
+        pos |= frontier
+    return pos
+
+
 @lru_cache(maxsize=None)
 def enumerate_roots(spec: AlgebraSpec) -> tuple:
-    """The full root set, closed under negation, every root of norm 2.
-
-    Positive roots are grown by simple-root ladders: gamma + alpha_i is
-    a root exactly when (gamma|alpha_i) = -1 in the simply laced case.
-    """
-    N = spec.N
-    A = build_cartan(spec).A_prime
-    simple = [tuple(1 if t == i else 0 for t in range(N)) for i in range(N)]
-    pos = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for g in frontier:
-            for i in range(N):
-                ip = sum(A[i][j] * g[j] for j in range(N) if g[j])
-                if ip == -1:
-                    cand = tuple(g[j] + (1 if j == i else 0) for j in range(N))
-                    if cand not in pos:
-                        pos.add(cand)
-                        new.append(cand)
-        frontier = new
-    allroots = set(pos)
-    allroots.update(tuple(-c for c in g) for g in pos)
-    return tuple(sorted(allroots))
+    """The full root set, closed under negation, every root of norm 2."""
+    pos = _positive_roots(build_cartan(spec).A_prime)
+    return tuple(sorted(pos | {tuple(-c for c in g) for g in pos}))
 
 
 def highest_root(spec: AlgebraSpec) -> Root:
@@ -241,15 +228,7 @@ def sigma_root(a: Root, spec: AlgebraSpec) -> Root:
 
 
 def folded_simple_roots(spec: AlgebraSpec) -> list:
-    """alpha_i = (1/r) sum over the sigma-images of the orbit representative."""
-    N, r = spec.N, spec.r
-    perm = build_cartan(spec).sigma
-    out = []
-    for i in range(1, spec.pres_rank + 1):
-        coords = [Fraction(0)] * N
-        node = i
-        for _ in range(r):
-            coords[node - 1] += Fraction(1, r)
-            node = perm[node]
-        out.append(tuple(coords))
-    return out
+    """alpha_i = (1/r) sum over the sigma-images of the orbit representative,
+    which gives each node of the orbit the weight 1/|orbit|."""
+    return [tuple(Fraction(int(t in nodes), len(nodes)) for t in range(1, spec.N + 1))
+            for nodes in build_cartan(spec).orbits]

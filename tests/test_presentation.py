@@ -17,12 +17,14 @@ from torlie.presentation import (
     pibar_image,
     proof_cases,
     psi_image,
+    relation_constant,
     relation_sides,
     serre_exceptions,
     serre_matrix,
     span_check,
     verify_all,
 )
+from torlie.rootdata import build_cartan
 from torlie.toroidal import LoopElem, ToroidalElem, sigma_bar, toroidal_bracket
 
 A5 = AlgebraSpec("A", 3, 2)
@@ -215,8 +217,6 @@ def test_verify_family_counts():
 def test_untwisted_matrices_align():
     # at r = 1 the extended matrix, the pairing matrix driving the
     # current relations, and the nilpotency-depth matrix all coincide
-    from torlie.rootdata import build_cartan
-
     for spec in UNTWISTED_SPECS:
         assert serre_matrix(spec) == build_cartan(spec).A_ext
 
@@ -280,6 +280,152 @@ def test_cases_are_enumerated_in_case_id_order(spec):
     for family, window, cap in product(families_for(spec), range(1, 5), range(1, 4)):
         cases = enumerate_cases(spec, family, window, cap)
         assert cases == sorted(cases, key=case_id_order)
+
+
+# ---------------------------------------------------------------------------
+# relation constants: derived from the root data, checked against the paper
+# ---------------------------------------------------------------------------
+
+def _cols(a, d, triality):
+    return {"A": a, "D": d, "triality": triality}
+
+
+# The paper's constants, transcribed per column: type A and type D at r = 2,
+# the triality at r = 3, the untwisted presentation at r = 1.  The shape a
+# row reads them with, A the extended matrix:
+#   aa     m A_ij                                            const m
+#   ax     m A_ij if step divides k, else 0                  const (m, step)
+#   xy     (p, q) = const[0] at i = 0, const[2] at i = n, const[1] between
+#   serre  the pairing entry S_ij the row is limited to (None: every pair)
+PAPER_CONSTANTS = {
+    # twisted presentation, r > 1
+    "1": _cols(1, 1, 1),
+    "2": _cols(2, 2, 3),
+    "3": _cols(2, 4, 3),
+    "4": _cols(2, 4, 3),
+    "5": _cols(4, 2, 9),
+    "6": _cols((1, 1), (1, 1), (1, 1)),
+    "7": _cols((2, 2), (2, 2), (3, 1)),
+    "8": _cols((1, 1), (2, 1), (1, 1)),
+    "9": _cols((1, 2), (2, 1), (1, 3)),
+    "10": _cols((2, 1), (1, 2), (3, 1)),
+    "11": _cols((2, 1), (1, 1), (3, 1)),
+    "12": _cols(None, None, None),
+    "13": _cols(((1, 1), (1, 2), (2, 4)), ((1, 1), (2, 4), (1, 2)),
+                ((1, 1), (1, 3), (3, 9))),
+    "14": _cols(0, 0, 0),
+    "15": _cols(-1, -1, -1),
+    "16": _cols(-2, -2, -2),
+    "17": _cols(-3, -3, -3),
+    # untwisted presentation, r = 1
+    "U1": {"untwisted": None},
+    "U2": {"untwisted": 1},
+    "U3": {"untwisted": (1, 1)},
+    "U4": {"untwisted": ((1, 1),) * 3},
+    "U5": {"untwisted": None},
+    "U6": {"untwisted": None},
+}
+
+# A_{2n-1} and D_{n+1} twisted at n = 2..7, the triality, and both types
+# untwisted at n = 2..5
+CONSTANT_GRID = ([AlgebraSpec(f, n, 2) for f in "AD" for n in range(2, 8)] + [D4_G]
+                 + [AlgebraSpec(f, n, 1) for f in "AD" for n in range(2, 6)])
+
+
+def _paper_column(spec):
+    if spec.r == 1:
+        return "untwisted"
+    return "triality" if spec.r == 3 else spec.family
+
+
+def _paper_constant(spec, family, i, j, k):
+    """The constant of one case as the paper's table gives it."""
+    const = PAPER_CONSTANTS[family][_paper_column(spec)]
+    a = build_cartan(spec).A_ext
+    shape = presentation.CATALOG[family].shape
+    if shape == "aa":
+        return const * a[i][j]
+    if shape == "ax":
+        m, step = const
+        return m * a[i][j] if k % step == 0 else 0
+    return const[0 if i == 0 else 2 if i == spec.pres_rank else 1]
+
+
+def _constant_points(spec):
+    """(family, i, j, k) for every aa, ax and diagonal xy case of the row
+    index at admissible k in [-2r, 2r]; an aa point needs -k admissible
+    for j too, as only k = -l reads its constant."""
+    def admits(i, k):
+        return k % degree_modulus(spec, i) == 0
+
+    for family in families_for(spec):
+        shape = presentation.CATALOG[family].shape
+        for _, i, j in presentation.CATALOG[family].index(spec.pres_rank):
+            if shape not in ("aa", "ax", "xy") or (shape == "xy" and i != j):
+                continue
+            for k in range(-2 * spec.r, 2 * spec.r + 1):
+                if admits(i, k) and (shape != "aa" or admits(j, -k)):
+                    yield family, i, j, k
+
+
+def test_derived_constants_match_the_paper():
+    points = 0
+    for spec in CONSTANT_GRID:
+        for family, i, j, k in _constant_points(spec):
+            shape = presentation.CATALOG[family].shape
+            derived = relation_constant(spec, shape, i, j, k % spec.r)
+            assert derived == _paper_constant(spec, family, i, j, k), (
+                spec, family, i, j, k)
+            points += 1
+        for family in families_for(spec):
+            row = presentation.CATALOG[family]
+            if row.shape == "serre":
+                assert row.depth == PAPER_CONSTANTS[family][_paper_column(spec)]
+    assert points == 8300
+
+
+def test_derived_constants_build_no_algebra(monkeypatch):
+    # the constants come from the Cartan matrix, sigma and theta alone: with
+    # every bracket, the invariant form and the algebra itself refused, all
+    # of them are still computed, so verify never checks the construction
+    # against itself
+    from torlie import liealg, toroidal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relation constant used the algebra")
+
+    monkeypatch.setattr(liealg.LieAlgebra, "bracket", refuse)
+    monkeypatch.setattr(liealg.LieAlgebra, "form", refuse)
+    for owner in (liealg, presentation):
+        monkeypatch.setattr(owner, "get_algebra", refuse)
+    for owner in (toroidal, presentation):
+        monkeypatch.setattr(owner, "toroidal_bracket", refuse)
+    monkeypatch.setattr(toroidal, "loop_bracket", refuse)
+    relation_constant.cache_clear()
+    count = 0
+    for spec in TWISTED_SPECS + UNTWISTED_SPECS:
+        for family, i, j, k in _constant_points(spec):
+            relation_constant(spec, presentation.CATALOG[family].shape, i, j, k % spec.r)
+            count += 1
+    assert count and relation_constant.cache_info().misses > 0
+    relation_constant.cache_clear()
+
+
+def test_catalog_holds_no_per_type_table():
+    # the per-type columns are gone for good: the catalog keeps index
+    # sources, signs, shapes and Serre depths, and reads no type letter
+    import inspect
+    import re
+    from dataclasses import fields
+
+    source = inspect.getsource(presentation)
+    assert "spec.family" not in source
+    for name in ("_cols", "_column", '"triality"', '"untwisted"', '"A"', '"D"',
+                 "'A'", "'D'"):
+        assert name not in source, name
+    assert not re.search(r"\.const\b", source)
+    assert [f.name for f in fields(presentation.Family)] == [
+        "id", "index", "signs", "shape", "depth"]
 
 
 def test_unknown_or_foreign_family_rejected():

@@ -153,6 +153,25 @@ def test_highest_root_values():
     assert highest_root(D4_G) == (1, 2, 1, 1)
     assert highest_root(D4_B) == (1, 2, 1, 1)
     assert highest_root(D3) == (1, 1, 1)
+    # theta is read off the positive roots; these are the closed forms
+    # it replaced, for every rank parameter and twist order
+    for n in range(2, 8):
+        for r in (1, 2):
+            assert highest_root(AlgebraSpec("A", n, r)) == (1,) * (2 * n - 1)
+            assert highest_root(AlgebraSpec("D", n, r)) == (1,) + (2,) * (n - 2) + (1, 1)
+
+
+def test_presentation_rank_counts_sigma_orbits():
+    # one generator index per sigma-orbit: the rank itself untwisted, n
+    # for the order-2 twists, 2 for the triality
+    for n in range(2, 8):
+        assert AlgebraSpec("A", n, 1).pres_rank == 2 * n - 1
+        assert AlgebraSpec("D", n, 1).pres_rank == n + 1
+        assert AlgebraSpec("A", n, 2).pres_rank == n
+        assert AlgebraSpec("D", n, 2).pres_rank == n
+    assert D4_G.pres_rank == 2
+    assert build_cartan(D4_G).orbits == ((1, 3, 4), (2,))
+    assert build_cartan(A5).orbits == ((1, 5), (2, 4), (3,))
 
 
 def test_highest_root_is_maximal():
