@@ -13,7 +13,8 @@ that make up almost every coefficient cost int arithmetic only.
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
 
-The hot kernels (the Lie and loop brackets, the cocycle, echelon
+The hot kernels (the Lie bracket of term maps, which the loop and
+extended brackets call per pair of degree components, and echelon
 reduction) do not compute through ``CycNum`` objects: they read each
 operand's coordinates once, multiply and accumulate plain int/Fraction
 pairs, and build one ``CycNum`` per nonzero output term with

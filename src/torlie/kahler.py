@@ -7,11 +7,10 @@ Basis symbols, with j ranging over the integers and m nonzero:
     Bt(j)    -> class of s^j t^-1 dt
     C0       -> class of s^-1 ds
 
-`reduce_b_da` rewrites the class of b*d(a) for Laurent monomials a, b
-into this basis.  The rewriting is total: every term of the expanded
-differential is either already a basis symbol, the class of an exact
-differential (dropped), or is converted through a single integration by
-parts with an exact rational division.
+`reduce_b_da` gives the class of b*d(a) for Laurent monomials a, b in
+this basis, in closed form: b*d(a) has one degree (J, M), the degree of
+the product ab, and its class is one multiple of Bs(J, M) when M != 0,
+else a multiple of Bt(J) plus, at J = 0, a multiple of C0.
 """
 
 from __future__ import annotations
@@ -63,36 +62,19 @@ class KahlerElem(SparseTerms):
         return sym.render()
 
 
-def _accumulate(terms: dict, sym: KSym, coeff):
-    s = terms.get(sym)
-    terms[sym] = coeff if s is None else s + coeff
-
-
-def _reduce_ds(terms: dict, u: int, v: int, coeff):
-    # class of coeff * s^u t^v ds
-    if v != 0:
-        _accumulate(terms, Bs(u + 1, v), coeff)
-    elif u == -1:
-        _accumulate(terms, C0, coeff)
-
-
-def _reduce_dt(terms: dict, u: int, v: int, coeff):
-    # class of coeff * s^u t^v dt
-    if v == -1:
-        _accumulate(terms, Bt(u), coeff)
-    elif u != 0:
-        # integrate s^u t^(v+1) by parts; v+1 is nonzero here
-        _reduce_ds(terms, u - 1, v + 1, coeff * Fraction(-u, v + 1))
-
-
 def reduce_b_da(b: LaurentMono, a: LaurentMono, order: int = 1) -> KahlerElem:
-    """The class of b*d(a) for monomials a = s^k t^l and b = s^p t^q."""
+    """The class of b*d(a) for monomials a = s^k t^l and b = s^p t^q.
+
+    With (J, M) = (p + k, q + l), b*d(a) = k s^(J-1) t^M ds + l s^J t^(M-1) dt.
+    For M != 0 the dt term is -(l J/M) s^(J-1) t^M ds plus the exact
+    (l/M) d(s^J t^M), so the class is ((k M - l J)/M) Bs(J, M).  For M = 0
+    it is l Bt(J), plus k C0 when J = 0 (else the ds term is exact).
+    """
     p, q = b
     k, l = a
-    one = CycNum.one(order)
-    terms: dict = {}
-    if k:
-        _reduce_ds(terms, p + k - 1, q + l, one * k)
-    if l:
-        _reduce_dt(terms, p + k, q + l - 1, one * l)
+    J, M = p + k, q + l
+    if M:
+        return KahlerElem({Bs(J, M): CycNum(order, Fraction(k * M - l * J, M))})
+    terms = {C0: CycNum(order, k)} if J == 0 else {}
+    terms[Bt(J)] = CycNum(order, l)
     return KahlerElem(terms)

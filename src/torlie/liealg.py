@@ -238,10 +238,15 @@ class LieAlgebra:
     def bracket(self, x: LieElem, y: LieElem) -> LieElem:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
+        return LieElem(self, self.bracket_terms(x.terms, y.terms))
+
+    def bracket_terms(self, xs, ys) -> dict:
+        """The bracket of the term maps xs and ys (b -> CycNum), as a
+        fresh map b -> CycNum without zeros."""
         table = self._table
-        ys = y.terms.items()
+        ys = ys.items()
         acc_a, acc_b = {}, {}
-        for b1, c1 in x.terms.items():
+        for b1, c1 in xs.items():
             a1, w1 = c1.a, c1.b
             for b2, c2 in ys:
                 entry = table.get((b1, b2))
@@ -257,7 +262,7 @@ class LieAlgebra:
                     p = a1 * a2
                     for b3, k in entry:
                         acc_a[b3] = acc_a.get(b3, 0) + p * k
-        return LieElem(self, coord_terms(self.spec.r, acc_a, acc_b))
+        return coord_terms(self.spec.r, acc_a, acc_b)
 
     def _build_form_table(self):
         # (h_i|h_j) = A'_ij, (e_a|e_-a) = 1, every other pair 0 (absent)
@@ -271,10 +276,14 @@ class LieAlgebra:
     def form(self, x: LieElem, y: LieElem) -> CycNum:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
+        return self.form_terms(x.terms, y.terms)
+
+    def form_terms(self, xs, ys) -> CycNum:
+        """The invariant form of the term maps xs and ys (b -> CycNum)."""
         table = self._form
         total = self.zero_scalar
-        for b1, c1 in x.terms.items():
-            for b2, c2 in y.terms.items():
+        for b1, c1 in xs.items():
+            for b2, c2 in ys.items():
                 pairing = table.get((b1, b2))
                 if pairing is not None:
                     total = total + c1 * c2 * pairing

@@ -264,6 +264,9 @@ def relation_constant(spec: AlgebraSpec, shape: str, i: int, j: int, e: int):
     if shape == "xy":
         p = 1 if i == 0 else degree_modulus(spec, i)
         return p, n_i * p
+    if shape == "aa":
+        # n_j times the ax constant: both rows share one cached g
+        return relation_constant(spec, "ax", i, j, e) * n_j
     theta = build_cartan(spec).theta
     vi, vj = (tuple(-c for c in theta) if p == 0 else
               tuple(int(t == p) for t in range(1, spec.N + 1)) for p in (i, j))
@@ -271,7 +274,7 @@ def relation_constant(spec: AlgebraSpec, shape: str, i: int, j: int, e: int):
     for u in range(n_i):
         g = g + omega_pow(spec.r, -u * e) * root_form(vi, vj, spec)
         vi = sigma_root(vi, spec)
-    return g * n_j if shape == "aa" else g
+    return g
 
 
 def _degs(spec: AlgebraSpec, i: int, window: int):

@@ -91,7 +91,8 @@ class CartanData:
     Matrices are tuples of tuples of ints.  `sigma` is the diagram
     automorphism as a 1-based permutation tuple (entry 0 unused),
     `orbits` its orbits on the nodes 1..N, each led by its least node,
-    and `theta` the highest root.  `pairing` is the one computed folding
+    `theta` the highest root and `positive_roots` the frozenset of the
+    positive roots, grown once here.  `pairing` is the one computed folding
     matrix, S[p][m] = (w_m | c_p) for p, m = 0..pres_rank, with
     w_0 = c_0 = -theta, w_m = alpha_m and c_p the sum of alpha_u over
     the sigma-orbit of p.  `A_folded` is S without row and column 0,
@@ -106,6 +107,7 @@ class CartanData:
     A_ext: tuple
     d: tuple
     theta: Root
+    positive_roots: frozenset
 
 
 def _edges(spec: AlgebraSpec):
@@ -158,7 +160,8 @@ def build_cartan(spec: AlgebraSpec) -> CartanData:
         A[i - 1][j - 1] = A[j - 1][i - 1] = -1
     A_prime = tuple(tuple(row) for row in A)
     sigma = _sigma_perm(spec)
-    theta = max(_positive_roots(A_prime), key=sum)  # the one of greatest height
+    positive = _positive_roots(A_prime)
+    theta = max(positive, key=sum)  # the one of greatest height
 
     # an orbit walked from node p is led by its least node exactly once
     orbits = tuple(nodes for nodes in (_orbit(sigma, p) for p in range(1, N + 1))
@@ -172,7 +175,7 @@ def build_cartan(spec: AlgebraSpec) -> CartanData:
     A_folded = tuple(row[1:] for row in S[1:])
     A_ext = tuple((S[0][p],) + row[1:] for p, row in enumerate(S))
     d = tuple(Fraction(1, len(nodes)) for nodes in orbits)
-    return CartanData(A_prime, sigma, orbits, S, A_folded, A_ext, d, theta)
+    return CartanData(A_prime, sigma, orbits, S, A_folded, A_ext, d, theta, positive)
 
 
 def _form(A, a, b):
@@ -191,7 +194,7 @@ def root_form(a, b, spec: AlgebraSpec) -> Fraction:
     return Fraction(_form(build_cartan(spec).A_prime, a, b))
 
 
-def _positive_roots(A) -> set:
+def _positive_roots(A) -> frozenset:
     """The positive roots of the simply laced Cartan matrix A.
 
     They are grown by simple-root ladders: gamma + alpha_i is a root
@@ -204,13 +207,13 @@ def _positive_roots(A) -> set:
         frontier = {g[:i] + (g[i] + 1,) + g[i + 1:] for g in frontier for i in range(N)
                     if sum(A[i][j] * g[j] for j in range(N) if g[j]) == -1} - pos
         pos |= frontier
-    return pos
+    return frozenset(pos)
 
 
 @lru_cache(maxsize=None)
 def enumerate_roots(spec: AlgebraSpec) -> tuple:
     """The full root set, closed under negation, every root of norm 2."""
-    pos = _positive_roots(build_cartan(spec).A_prime)
+    pos = build_cartan(spec).positive_roots
     return tuple(sorted(pos | {tuple(-c for c in g) for g in pos}))
 
 

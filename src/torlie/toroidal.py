@@ -9,9 +9,15 @@ differentials.  The bracket
     [x (x) s^j t^m, y (x) s^k t^l]
         = [x,y] (x) s^(j+k) t^(m+l)  +  (x|y) * class of (s^k t^l) d(s^j t^m)
 
-annihilates central terms.  Elements tagged as twisted are validated
-eagerly: the loop terms must be fixed by the twisted automorphism and
-every central symbol must have s-degree divisible by the twist order.
+annihilates central terms.  For each pair of degree components of the
+operands it is g's bracket (`LieAlgebra.bracket_terms`) moved to the
+summed degree, plus g's form (`LieAlgebra.form_terms`) times one
+Kahler class (`reduce_b_da`); this module has no loop over structure
+constants or form entries of its own.
+
+Elements tagged as twisted are validated eagerly: the loop terms must
+be fixed by the twisted automorphism and every central symbol must have
+s-degree divisible by the twist order.
 
 Fractional operands are bracketed on integer coordinates: with d the
 least common denominator of both operands, `toroidal_bracket` brackets
@@ -23,7 +29,7 @@ d^2*[x, y] is fixed exactly when [x, y] is.
 
 from __future__ import annotations
 
-from .coeff import AlgebraTerms, coord_terms, denominator, from_coords, omega_product
+from .coeff import AlgebraTerms, denominator, from_coords
 # not called here (`_sigma_coords` rotates coordinates itself), but
 # bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
 from .coeff import omega_pow  # noqa: F401
@@ -58,44 +64,42 @@ class LoopElem(AlgebraTerms):
         return (j, m, b)
 
 
-def _loop_terms(x) -> list:
-    """The (b, j, m) terms of x, leaving out any central KSym keys."""
-    return [(key, c) for key, c in x.terms.items() if type(key) is tuple]
+def _by_degree(x) -> dict:
+    """The loop terms of x grouped by degree, (j, m) -> {b: c}; central
+    KSym keys are left out."""
+    out: dict = {}
+    for key, c in x.terms.items():
+        if type(key) is tuple:
+            b, j, m = key
+            out.setdefault((j, m), {})[b] = c
+    return out
 
 
-def loop_bracket(x, y, loop_y: list | None = None) -> LoopElem:
-    """Bracket of the loop terms of two LoopElems or ToroidalElems;
-    `loop_y` is `_loop_terms(y)`, when the caller has built it."""
-    x._check(y)
+def _bracket_terms(x, y, cocycle: bool) -> dict:
+    """Terms of the bracket of the loop terms of x and y, one pair of
+    degree components at a time: g's bracket moved to the summed degree
+    and, when `cocycle` is set, g's form times one Kahler class."""
     alg = x.alg
-    table = alg._table
-    if loop_y is None:
-        loop_y = _loop_terms(y)
-    acc_a: dict = {}
-    acc_b: dict = {}
-    for key1, c1 in x.terms.items():
-        if type(key1) is not tuple:
-            continue
-        b1, j1, m1 = key1
-        a1, w1 = c1.a, c1.b
-        for (b2, j2, m2), c2 in loop_y:
-            entry = table.get((b1, b2))
-            if not entry:
-                continue
-            a2, w2 = c2.a, c2.b
-            key_j, key_m = j1 + j2, m1 + m2
-            if w1 or w2:
-                pa, pb = omega_product(a1, w1, a2, w2)
-                for b3, k in entry:
-                    key = (b3, key_j, key_m)
-                    acc_a[key] = acc_a.get(key, 0) + pa * k
-                    acc_b[key] = acc_b.get(key, 0) + pb * k
-            else:
-                p = a1 * a2
-                for b3, k in entry:
-                    key = (b3, key_j, key_m)
-                    acc_a[key] = acc_a.get(key, 0) + p * k
-    return LoopElem(alg, coord_terms(alg.spec.r, acc_a, acc_b))
+    r = alg.spec.r
+    terms: dict = {}
+    ys = _by_degree(y).items()
+    for (j1, m1), comp1 in _by_degree(x).items():
+        for (j2, m2), comp2 in ys:
+            j, m = j1 + j2, m1 + m2
+            out = [((b, j, m), c) for b, c in alg.bracket_terms(comp1, comp2).items()]
+            if cocycle and (pairing := alg.form_terms(comp1, comp2)):
+                cls = reduce_b_da((j2, m2), (j1, m1), r)
+                out += [(sym, pairing * v) for sym, v in cls.terms.items()]
+            for key, c in out:
+                s = terms.get(key)
+                terms[key] = c if s is None else s + c
+    return terms
+
+
+def loop_bracket(x, y) -> LoopElem:
+    """Bracket of the loop terms of two LoopElems or ToroidalElems."""
+    x._check(y)
+    return LoopElem(x.alg, _bracket_terms(x, y, False))
 
 
 def _sigma_coords(sigma: dict, r: int, key: tuple, a, b) -> tuple:
@@ -177,7 +181,8 @@ class ToroidalElem(AlgebraTerms):
 
     @property
     def loop(self) -> LoopElem:
-        return LoopElem(self.alg, dict(_loop_terms(self)))
+        terms = self.terms.items()
+        return LoopElem(self.alg, {k: c for k, c in terms if type(k) is tuple})
 
     @property
     def central(self) -> KahlerElem:
@@ -232,38 +237,7 @@ def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     d = denominator(x, y)
     if d != 1:
         x, y = x.cleared(d), y.cleared(d)
-    alg = x.alg
-    r = alg.spec.r
-    loop_y = _loop_terms(y)
-    terms = dict(loop_bracket(x, y, loop_y).terms)
-    # the cocycle, into its own maps: central symbols never meet loop keys
-    form = alg._form
-    acc_a: dict = {}
-    acc_b: dict = {}
-    for key1, c1 in x.terms.items():
-        if type(key1) is not tuple:
-            continue
-        b1, j1, m1 = key1
-        a1, w1 = c1.a, c1.b
-        for (b2, j2, m2), c2 in loop_y:
-            pairing = form.get((b1, b2))
-            if pairing is None:
-                continue
-            a2, w2 = c2.a, c2.b
-            # reduce_b_da's coefficients are rational: their b is 0
-            cocycle = reduce_b_da((j2, m2), (j1, m1), r).terms.items()
-            if w1 or w2:
-                pa, pb = omega_product(a1, w1, a2, w2)
-                pa, pb = pa * pairing, pb * pairing
-                for sym, v in cocycle:
-                    acc_a[sym] = acc_a.get(sym, 0) + v.a * pa
-                    acc_b[sym] = acc_b.get(sym, 0) + v.a * pb
-            else:
-                p = a1 * a2 * pairing
-                for sym, v in cocycle:
-                    acc_a[sym] = acc_a.get(sym, 0) + v.a * p
-    if acc_a:
-        terms.update(coord_terms(r, acc_a, acc_b))
+    terms = _bracket_terms(x, y, True)
     out = x._new(terms, y)
     if out.twisted:
         out.validate_twisted()

@@ -12,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from torlie import AlgebraSpec, get_algebra, presentation
+from torlie import AlgebraSpec, get_algebra, presentation, toroidal
 from torlie.presentation import GenSym
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,6 +56,8 @@ def test_span_recorder_installs_and_restores():
         x = presentation.psi_image(GenSym("x+", 1, 1), A5)
         y = presentation.psi_image(GenSym("x-", 1, -1), A5)
         presentation.toroidal_bracket(x, y)
+        # toroidal_bracket does not go through loop_bracket: call it here
+        toroidal.loop_bracket(x, y)
         summary = recorder.summary()
     finally:
         recorder.restore()

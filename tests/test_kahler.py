@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,3 +115,41 @@ def test_orders_carry_through():
     x = reduce_b_da((-1, 0), (1, 0), order=3)
     (coeff,) = x.terms.values()
     assert coeff.order == 3
+
+
+def _as_form(elem: KahlerElem, J: int, M: int):
+    """(alpha, beta) with elem = alpha s^(J-1) t^M ds + beta s^J t^(M-1) dt,
+    reading each basis symbol as the differential it names; a symbol of
+    any other degree fails the test."""
+    alpha = beta = Fraction(0)
+    for sym, c in elem.terms.items():
+        assert c.b == 0
+        if sym == C0:
+            assert (J, M) == (0, 0), sym
+            alpha += c.a
+        elif sym.kind == "dt":
+            assert (sym.j, M) == (J, 0), sym
+            beta += c.a
+        else:
+            assert (sym.j, sym.m) == (J, M), sym
+            alpha += c.a
+    return alpha, beta
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_reduction_differs_from_b_da_by_an_exact_form(order):
+    # an oracle that compares reduce_b_da with b*d(a) itself, not with
+    # another reduce_b_da call: b*d(a) minus its reduction,
+    # alpha s^(J-1) t^M ds + beta s^J t^(M-1) dt, must be exact, that is
+    # c*d(s^J t^M) = c J s^(J-1) t^M ds + c M s^J t^(M-1) dt for one c,
+    # which means alpha M = beta J, and alpha = beta = 0 at (J, M) = (0, 0)
+    # where d(s^0 t^0) = 0
+    R = range(-6, 7)
+    for p, q, k, l in itertools.product(R, R, R, R):
+        J, M = p + k, q + l
+        rho, tau = _as_form(reduce_b_da((p, q), (k, l), order), J, M)
+        alpha, beta = k - rho, l - tau
+        if (J, M) == (0, 0):
+            assert alpha == beta == 0, (p, q, k, l)
+        else:
+            assert alpha * M == beta * J, (p, q, k, l)

@@ -1,11 +1,12 @@
 """The coordinate kernels against a slow reference on CycNum arithmetic.
 
-`LieAlgebra.bracket`, `loop_bracket` and the cocycle of
-`toroidal_bracket` multiply raw coordinates and build one CycNum per
-output term.  Here every output is recomputed term by term on CycNum
-objects, with a product expanded by hand (`ref_mul`) and CycNum
-addition, and must agree exactly; every output coefficient must also be
-canonical.
+`LieAlgebra.bracket_terms` multiplies raw coordinates and builds one
+CycNum per output term; `loop_bracket` and `toroidal_bracket` call it,
+and `form_terms` times one Kahler class for the cocycle, once per pair
+of degree components.  Here every output is recomputed pair of terms by
+pair of terms on CycNum objects, with a product expanded by hand
+(`ref_mul`) and CycNum addition, and must agree exactly; every output
+coefficient must also be canonical.
 """
 
 from fractions import Fraction
@@ -167,7 +168,7 @@ def test_toroidal_bracket_matches_cycnum_reference(spec, data):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cocycle_coefficients_are_rational(order):
-    # toroidal_bracket reads only the a coordinate of reduce_b_da's terms
+    # the Kahler class of each cocycle term is rational, in the given order
     for p in range(-3, 4):
         for q in range(-3, 4):
             for k in range(-3, 4):

@@ -394,8 +394,8 @@ def test_derived_constants_build_no_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a relation constant used the algebra")
 
-    monkeypatch.setattr(liealg.LieAlgebra, "bracket", refuse)
-    monkeypatch.setattr(liealg.LieAlgebra, "form", refuse)
+    for method in ("bracket", "bracket_terms", "form", "form_terms"):
+        monkeypatch.setattr(liealg.LieAlgebra, method, refuse)
     for owner in (liealg, presentation):
         monkeypatch.setattr(owner, "get_algebra", refuse)
     for owner in (toroidal, presentation):
