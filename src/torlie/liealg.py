@@ -11,9 +11,13 @@ adjacent, +1 otherwise), adjusted by a positive/negative sign so that
 
 which makes the invariant form satisfy (h_i|h_j) = A'_{ij},
 (e_a|e_-a) = 1 and (e_a|e_b) = 0 otherwise.  The diagram automorphism
-is extended from the Chevalley generators by recursively decomposing
-each root vector as a bracket word; the automorphism property is then
-checked by the test suite rather than assumed.
+is written in closed form as a signed permutation of the basis:
+h_i -> h_sigma(i) and e_a -> (-1)^q(a) e_sigma(a).  Here q(a) is the sum
+of a_i a_j over the pairs i < j at which sigma changes eps(alpha_i,
+alpha_j): then (-1)^q(a+b) = (-1)^(q(a) + q(b)) eps(a,b) eps(sa,sb) and
+q vanishes on the simple roots, so this is the unique automorphism
+that extends sigma on the Chevalley generators.  The test suite checks
+the automorphism property on every pair of basis vectors.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .rootdata import (
     enumerate_roots,
     highest_root,
     orbit,
+    sigma_root,
 )
 
 
@@ -292,51 +297,18 @@ class LieAlgebra:
     # -- diagram automorphism --------------------------------------------
 
     def _build_sigma_table(self):
+        """sigma as a signed permutation of the basis: h_i -> h_sigma(i) and
+        e_a -> (-1)^q(a) e_sigma(a), where q(a) = sum of a_i a_j over the
+        pairs i < j at which sigma changes eps(alpha_i, alpha_j)."""
         N = self.N
         perm = self.cartan.sigma
-        table = {}
-        for i in range(1, N + 1):
-            table[i - 1] = (perm[i] - 1, 1)
-        if self.spec.r == 1:
-            for ri in range(len(self.roots)):
-                table[N + ri] = (N + ri, 1)
-            return table
-
-        unit = lambda i: tuple(1 if t == i else 0 for t in range(N))
-        for i in range(N):
-            for sgn in (1, -1):
-                root = tuple(sgn * c for c in unit(i))
-                img = tuple(sgn * c for c in unit(perm[i + 1] - 1))
-                table[N + self.root_index[root]] = (N + self.root_index[img], 1)
-
-        positives = sorted(
-            (root for root in self.roots if self._positive(root)),
-            key=lambda root: sum(root),
-        )
-        for root in positives:
-            ht = sum(root)
-            if ht == 1:
-                continue
-            imin = next(
-                i
-                for i in range(N)
-                if root[i]
-                and tuple(root[j] - (1 if j == i else 0) for j in range(N))
-                in self.root_index
-            )
-            beta = tuple(root[j] - (1 if j == imin else 0) for j in range(N))
-            for sgn in (1, -1):
-                a = tuple(sgn * c for c in unit(imin))
-                b = tuple(sgn * c for c in beta)
-                target_root = tuple(sgn * c for c in root)
-                c0 = self._struct(a, b)
-                t1, s1 = table[N + self.root_index[a]]
-                t2, s2 = table[N + self.root_index[b]]
-                entry = self._table[(t1, t2)]
-                if len(entry) != 1 or entry[0][0] < N:
-                    raise AssertionError("automorphism word did not stay a root vector")
-                t3, c3 = entry[0]
-                table[N + self.root_index[target_root]] = (t3, s1 * s2 * c3 * c0)
+        eta = self._eta
+        flips = [(i, j) for i in range(N) for j in range(i + 1, N)
+                 if eta[i][j] != eta[perm[i + 1] - 1][perm[j + 1] - 1]]
+        table = {i: (perm[i + 1] - 1, 1) for i in range(N)}
+        for ri, a in enumerate(self.roots):
+            q = sum(a[i] * a[j] for i, j in flips)
+            table[N + ri] = (N + self.root_index[sigma_root(a, self.spec)], -1 if q % 2 else 1)
         # sanity: the permutation closes up with order r
         for b in range(self.dim):
             cur, sign = b, 1
@@ -355,23 +327,28 @@ class LieAlgebra:
             terms[b2] = c if s == 1 else -c
         return LieElem(self, terms)
 
-    def grade_component(self, x: LieElem, j: int) -> LieElem:
-        r = self.spec.r
-        acc = self.zero()
-        cur = x
-        for k in range(r):
-            acc = acc + cur * omega_pow(r, -j * k)
-            cur = self.sigma(cur)
-        return acc.divided(r)
-
     def graded_dim(self, j: int) -> int:
-        """Dimension of the twist eigenspace, by projection rank."""
-        basis = EchelonBasis()
+        """Dimension of the w^j-eigenspace of sigma, counted from its cycles.
+
+        A cycle of L basis vectors whose signs multiply to s spans one
+        eigenvector for each L-th root of s, so it adds 1 exactly when
+        w^(jL) = s.
+        """
+        r = self.spec.r
+        seen = set()
+        dim = 0
         for b in range(self.dim):
-            comp = self.grade_component(LieElem.basis(self, b), j)
-            if comp:
-                basis.add(comp.terms)
-        return basis.rank
+            if b in seen:
+                continue
+            cur, sign, length = b, 1, 0
+            while cur not in seen:
+                seen.add(cur)
+                cur, s = self._sigma[cur]
+                sign *= s
+                length += 1
+            if omega_pow(r, j * length) == sign:
+                dim += 1
+        return dim
 
     # -- distinguished elements -------------------------------------------
 
@@ -397,18 +374,11 @@ class LieAlgebra:
         h0 = self.bracket(e0, f0)
         if self.bracket(h0, e0) != e0 * 2 or self.bracket(h0, f0) != f0 * (-2):
             raise AssertionError("highest-root sl2 normalization failed")
-        fixed = True
-        if self.spec.r > 1:
-            fixed = self.sigma(e0) == e0 and self.sigma(f0) == f0
-        return (e0, f0, h0, fixed)
+        return (e0, f0, h0)
 
     def theta_triple(self):
         """(e0, f0, h0) attached to the highest root, [h0,e0] = 2 e0."""
-        return self._theta[:3]
-
-    @property
-    def sigma_fixes_theta(self) -> bool:
-        return self._theta[3]
+        return self._theta
 
 
 @lru_cache(maxsize=None)

@@ -33,20 +33,20 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
+from typing import NamedTuple
 
 from .coeff import CycNum, omega_pow
 from .kahler import Bt, C0, KahlerElem
 from .liealg import EchelonBasis, LieElem, get_algebra
 from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit, root_form, sigma_root
-from .toroidal import LoopElem, ToroidalElem, toroidal_bracket
+from .toroidal import LoopElem, ToroidalElem, orbit_sum, toroidal_bracket
 
 
 # ---------------------------------------------------------------------------
 # generator symbols and their images
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenSym:
+class GenSym(NamedTuple):
     """One abstract generator: kind in {"c", "a", "x+", "x-"}."""
 
     kind: str
@@ -71,6 +71,15 @@ def admissible(spec: AlgebraSpec, gen: GenSym) -> bool:
 def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
     """Image of a generator in the centrally extended algebra.
 
+    Every generator but c maps to the sigma_bar-orbit sum
+
+        sum over u < n_i of sigma_bar^u(v (x) s^k t^m),
+
+    n_0 = 1 and n_i = r elsewhere, of v = h, e or -f at node i, the
+    theta-triple at i = 0 with m = +-1 on X(+-a_0) and m = 0 otherwise;
+    a_0(k) adds the class of s^k t^-1 dt.  This is `relation_constant`'s
+    sum over u < n_i read in the algebra.
+
     Cached per process: an image is built, and checked fixed by the
     twisted automorphism, once per (gen, spec).  Elements are immutable,
     so every caller can share the cached one.
@@ -83,31 +92,14 @@ def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
             f"(step {degree_modulus(spec, gen.i)})"
         )
     if gen.kind == "c":
-        return ToroidalElem(
-            LoopElem.zero(alg), KahlerElem({C0: CycNum.one(r)}), twisted=True
-        )
+        return ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: CycNum.one(r)}), twisted=True)
     i, k = gen.i, gen.k
-    if i == 0:
-        e0, f0, h0 = alg.theta_triple()
-        if gen.kind == "a":
-            return ToroidalElem(
-                LoopElem.from_lie(h0, k, 0),
-                KahlerElem({Bt(k): CycNum.one(r)}),
-                twisted=True,
-            )
-        if r > 1 and not alg.sigma_fixes_theta:
-            raise ValueError(
-                "highest-root vectors are not fixed by the diagram automorphism; "
-                "the affine generators do not land in the twisted loop algebra"
-            )
-        if gen.kind == "x+":
-            return ToroidalElem(LoopElem.from_lie(e0, k, 1), twisted=True)
-        return ToroidalElem(LoopElem.from_lie(-f0, k, -1), twisted=True)
-    # orbit sum sum_t w^(-tk) sigma^t(v) of v = h_i, e_i or -f_i: r times the
-    # degree-k component, as sigma sends e_i, f_i, h_i to node sigma(i), sign +1
-    vector = {"a": alg.h, "x+": alg.e, "x-": lambda u: -alg.f(u)}[gen.kind]
-    x = alg.grade_component(vector(i), k) * r
-    return ToroidalElem(LoopElem.from_lie(x, k, 0), twisted=True)
+    e, f, h = alg.theta_triple() if i == 0 else (alg.e(i), alg.f(i), alg.h(i))
+    t = 1 if i == 0 else 0
+    v, m = {"a": (h, 0), "x+": (e, t), "x-": (-f, -t)}[gen.kind]
+    loop = orbit_sum(LoopElem.from_lie(v, k, m), 1 if i == 0 else r)
+    central = KahlerElem({Bt(k): CycNum.one(r)}) if i == 0 and gen.kind == "a" else None
+    return ToroidalElem(loop, central, twisted=True)
 
 
 def pibar_image(gen: GenSym, spec: AlgebraSpec) -> LoopElem:

@@ -139,15 +139,19 @@ def sigma_bar(x: LoopElem) -> LoopElem:
     return LoopElem(alg, out)
 
 
+def orbit_sum(x: LoopElem, count: int) -> LoopElem:
+    """sum over u < count of sigma_bar^u(x)."""
+    acc = cur = x
+    for _ in range(count - 1):
+        cur = sigma_bar(cur)
+        acc = acc + cur
+    return acc
+
+
 def fix_project(x: LoopElem) -> LoopElem:
     """Average over the twisted automorphism; idempotent projection."""
     r = x.alg.spec.r
-    acc = x
-    cur = x
-    for _ in range(r - 1):
-        cur = sigma_bar(cur)
-        acc = acc + cur
-    return acc.divided(r)
+    return orbit_sum(x, r).divided(r)
 
 
 class ToroidalElem(AlgebraTerms):

@@ -13,7 +13,7 @@ import pytest
 
 from torlie import AlgebraSpec, CycNum, get_algebra
 from torlie.kahler import Bt, C0, KahlerElem, reduce_b_da
-from torlie.liealg import LieElem
+from torlie.liealg import EchelonBasis, LieElem
 from torlie.presentation import proof_cases, span_check, verify_all
 from torlie.rootdata import build_cartan, enumerate_roots, folded_simple_roots, root_form
 from torlie.toroidal import LoopElem, ToroidalElem, fix_project, toroidal_bracket
@@ -129,6 +129,12 @@ def test_criterion_4_folding_data():
         spec = AlgebraSpec(*key)
         alg = get_algebra(spec)
         ok = ok and alg.graded_dim(0) == want
+        # oracle: the rank of the basis projected to each eigenspace
+        for j in range(spec.r):
+            rank = EchelonBasis()
+            for b in range(alg.dim):
+                rank.add(fix_project(LoopElem.from_lie(LieElem.basis(alg, b), j, 0)).terms)
+            ok = ok and alg.graded_dim(j) == rank.rank
         # oracle: dimension from the root count
         ok = ok and alg.dim == len(enumerate_roots(spec)) + spec.N
     report("4b [fixed-subalgebra dimensions by projection rank]", ok)
