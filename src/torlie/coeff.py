@@ -13,12 +13,12 @@ that make up almost every coefficient cost int arithmetic only.
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
 
-The hot kernels (the Lie bracket of term maps, which the loop and
-extended brackets call per pair of degree components, and echelon
-reduction) do not compute through ``CycNum`` objects: they read each
-operand's coordinates once, multiply and accumulate plain int/Fraction
-pairs, and build one ``CycNum`` per nonzero output term with
-`from_coords`.
+The hot kernels (the Lie bracket, which the loop and extended brackets
+call per pair of degree components, and echelon reduction) do not
+compute through ``CycNum`` objects: they take coordinate maps key ->
+(a, b) (`term_coords` reads one off a term map) and multiply and
+accumulate plain int/Fraction pairs; a caller that needs an element
+builds one ``CycNum`` per nonzero output term (`coord_terms`).
 
 `SparseTerms` is the one format of every vector in the library: an
 immutable sparse map from a basis key to a nonzero CycNum.
@@ -158,7 +158,12 @@ class CycNum:
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        return CycNum(self.order, *inverse_coords(self.a, self.b))
+        a, b = self.a, self.b
+        if not b:  # 1/a in any order, through Fraction: 1 / int is a float
+            return CycNum(self.order, Fraction(1) / a)
+        # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
+        norm = Fraction(a * a - a * b + b * b)
+        return CycNum(3, (a - b) / norm, -b / norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -234,19 +239,6 @@ def omega_product(a1, b1, a2, b2) -> tuple:
     return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
 
 
-def inverse_coords(a, b=0) -> tuple:
-    """Canonical coordinates of 1/(a + b w) for a nonzero a + b w; with
-    b == 0 this is 1/a in any order, else the inverse in Q(zeta_3)."""
-    if not b:
-        if a == 1 or a == -1:  # a unit is its own inverse
-            return int(a), 0
-        # divide through Fraction: 1 / int would be a float
-        return exact(Fraction(1) / a), 0
-    # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
-    norm = Fraction(a * a - a * b + b * b)
-    return exact((a - b) / norm), exact(-b / norm)
-
-
 def from_coords(order: int, a, b=0) -> CycNum:
     """The CycNum a + b*w, its slots set directly.
 
@@ -261,23 +253,15 @@ def from_coords(order: int, a, b=0) -> CycNum:
     return out
 
 
-def coord_terms(order: int, a_terms: dict, b_terms: dict) -> dict:
-    """{key: CycNum} of accumulated coordinates, the zeros left out.
+def term_coords(terms) -> dict:
+    """The coordinate map key -> (a, b) of a map key -> CycNum."""
+    return {k: (c.a, c.b) for k, c in terms.items()}
 
-    Each key of `b_terms` is a key of `a_terms`, and `b_terms` is empty
-    while every b coordinate is 0, which it always is for r <= 2.
-    """
-    out = {}
-    if b_terms:
-        for k, a in a_terms.items():
-            b = b_terms.get(k, 0)
-            if a or b:
-                out[k] = from_coords(order, a, b)
-    else:
-        for k, a in a_terms.items():
-            if a:
-                out[k] = from_coords(order, a)
-    return out
+
+def coord_terms(order: int, coords: dict) -> dict:
+    """{key: CycNum} of a coordinate map key -> (a, b), the zeros left
+    out; b is 0 unless the order is 3."""
+    return {k: from_coords(order, a, b) for k, (a, b) in coords.items() if a or b}
 
 # w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {
@@ -327,7 +311,7 @@ def denominator(*elements) -> int:
     return d
 
 
-def _cleared(x, d: int) -> int:
+def cleared_int(x, d: int) -> int:
     """d*x as an int, for a coordinate x whose denominator divides d."""
     return x * d if type(x) is int else x.numerator * (d // x.denominator)
 
@@ -423,7 +407,7 @@ class SparseTerms:
         """d times this element, for an int d that clears every
         denominator (see `denominator`).  Each coordinate is written as
         an int directly; `_new` carries the element's flags over."""
-        return self._new({k: from_coords(c.order, _cleared(c.a, d), _cleared(c.b, d))
+        return self._new({k: from_coords(c.order, cleared_int(c.a, d), cleared_int(c.b, d))
                           for k, c in self.terms.items()})
 
     def divided(self, d: int):

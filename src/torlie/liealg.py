@@ -23,22 +23,23 @@ the automorphism property on every pair of basis vectors.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 
 from .coeff import (
     AlgebraTerms,
     CycNum,
+    cleared_int,
     coord_terms,
-    exact,
-    inverse_coords,
+    from_coords,
     omega_pow,
     omega_product,
+    term_coords,
 )
 from .rootdata import (
     AlgebraSpec,
     build_cartan,
     enumerate_roots,
     highest_root,
-    orbit,
     sigma_root,
 )
 
@@ -60,63 +61,99 @@ class LieElem(AlgebraTerms):
 
 
 class EchelonBasis:
-    """Incremental exact Gaussian elimination over Q(zeta_r).
+    """Incremental exact Gaussian elimination over Q(zeta_r), fraction free.
 
-    A row is (pivot key, a, b): its coordinates as two maps, key -> a and
-    key -> b, scaled so that the pivot coefficient is 1.  Every key of
-    the row is a key of `a`; `b` is empty when every b coordinate is 0,
-    which it always is for r <= 2.  Reduction multiplies and adds these
-    coordinates directly, and takes the w-product only where a b is
-    nonzero.  `add` takes a map of CycNum and keeps no CycNum.
+    `add` takes a coordinate map key -> (a, b) of a + b w, as
+    `LieAlgebra.bracket_terms` returns it, and the order r of its
+    scalars; the first vector fixes r, and another order is refused.  A
+    rational vector is scaled by its common denominator first.
+
+    `rows` maps each pivot to its row: two maps, key -> a and key -> b,
+    of coordinates in Z[w], each row divided by its content (the gcd of
+    its coordinates).  Every key of a row is a key of `a`, and `b` is
+    empty while every b is 0, as it always is for r <= 2.  The rows are
+    reduced, zero at every other pivot, so a vector meets only the rows
+    whose pivots lie in its support: v <- P v - c row, with P the row's
+    pivot coefficient and c the vector's, clears that pivot and leaves
+    the other pivot coordinates as they were.  A new row clears its own
+    pivot column from the older rows the same way.
     """
 
     def __init__(self):
-        self.rows = []
+        self.rows = {}  # pivot -> (a, b)
         self.order = None  # of the first vector's scalars; others are refused
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, vec: dict) -> bool:
+    def add(self, vec: dict, order: int) -> bool:
         """Reduce `vec` against the basis; absorb it if independent."""
-        order = self.order
-        va, vb = {}, {}
-        for k, c in vec.items():
-            if c.order != order:
-                if order is not None:
-                    raise ValueError(f"cyclotomic order mismatch: {order} vs {c.order}")
-                order = self.order = c.order
-            va[k] = c.a
-            if c.b:
-                vb[k] = c.b
-        for pivot, ra, rb in self.rows:
-            ca = va.get(pivot, 0)
-            cb = vb.get(pivot, 0) if vb else 0
-            if cb or (ca and rb):
-                for k, a in ra.items():
-                    pa, pb = omega_product(ca, cb, a, rb.get(k, 0))
-                    va[k] = va.get(k, 0) - pa
-                    vb[k] = vb.get(k, 0) - pb
-            elif ca:
-                for k, a in ra.items():
-                    va[k] = va.get(k, 0) - ca * a
-        if vb:
-            keys = [k for k, a in va.items() if a or vb.get(k)]
-        else:
-            keys = [k for k, a in va.items() if a]
-        if not keys:
+        if order != self.order:
+            if self.order is not None:
+                raise ValueError(f"cyclotomic order mismatch: {self.order} vs {order}")
+            self.order = order
+        va, vb = _integral(vec)
+        rows = self.rows
+        for pivot in [k for k in va if k in rows]:
+            va, vb = _eliminate(va, vb, pivot, *rows[pivot])
+        row = _primitive(va, vb)
+        if row is None:
             return False
-        pivot = min(keys)
-        ia, ib = inverse_coords(va[pivot], vb.get(pivot, 0))
-        ra, rb = {}, {}
-        for k in keys:
-            pa, pb = omega_product(va[k], vb.get(k, 0), ia, ib)
-            ra[k] = exact(pa)
-            if pb:
-                rb[k] = exact(pb)
-        self.rows.append((pivot, ra, rb))
+        pivot = min(row[0])
+        for old, (oa, ob) in rows.items():
+            if oa.get(pivot) or ob.get(pivot):
+                rows[old] = _primitive(*_eliminate(oa, ob, pivot, *row))
+        rows[pivot] = row
         return True
+
+
+def _integral(vec: dict) -> tuple:
+    """`vec` times its common denominator, as (a, b) coordinate maps in
+    Z[w]; the b map holds no zero."""
+    d = 1
+    for a, b in vec.values():
+        if type(a) is not int or type(b) is not int:
+            d = lcm(d, a.denominator, b.denominator)
+    if d != 1:
+        vec = {k: (cleared_int(a, d), cleared_int(b, d)) for k, (a, b) in vec.items()}
+    return {k: a for k, (a, _) in vec.items()}, {k: b for k, (_, b) in vec.items() if b}
+
+
+def _eliminate(va: dict, vb: dict, pivot, ra: dict, rb: dict) -> tuple:
+    """P v - c row for the vector v = (va, vb), a row with pivot
+    coefficient P and c = v[pivot], all in Z[w]: zero at the pivot."""
+    pa, pb = ra[pivot], rb.get(pivot, 0)
+    ca, cb = va[pivot], vb.get(pivot, 0)
+    if not (pb or cb or vb or rb):  # every coordinate in Z
+        g = gcd(pa, ca)
+        pa, ca = pa // g, ca // g
+        if pa != 1:
+            va = {k: a * pa for k, a in va.items()}
+        for k, a in ra.items():
+            va[k] = va.get(k, 0) - ca * a
+        return va, vb
+    out_a, out_b = {}, {}
+    for k, a in va.items():
+        out_a[k], out_b[k] = omega_product(pa, pb, a, vb.get(k, 0))
+    for k, a in ra.items():
+        qa, qb = omega_product(ca, cb, a, rb.get(k, 0))
+        out_a[k] = out_a.get(k, 0) - qa
+        out_b[k] = out_b.get(k, 0) - qb
+    return out_a, {k: b for k, b in out_b.items() if b}
+
+
+def _primitive(va: dict, vb: dict):
+    """The nonzero entries of the vector (va, vb), whose `vb` holds no
+    zero, divided by their content; None when there is none."""
+    ra = {k: a for k, a in va.items() if a or k in vb}
+    if not ra:
+        return None
+    g = gcd(*ra.values(), *vb.values())
+    if g != 1:
+        ra = {k: a // g for k, a in ra.items()}
+        vb = {k: b // g for k, b in vb.items()}
+    return ra, vb
 
 
 class LieAlgebra:
@@ -141,6 +178,11 @@ class LieAlgebra:
             for root in self.roots
         )
         self._table = self._build_bracket_table()
+        # the same entries by row, b1 -> {b2: entry}; a row's keys are the
+        # partners of b1, the b2 with [b1, b2] != 0
+        self._rows = tuple({} for _ in range(self.dim))
+        for (b1, b2), entry in self._table.items():
+            self._rows[b1][b2] = entry
         self._form = self._build_form_table()
         self._sigma = self._build_sigma_table()
         self._theta = self._build_theta_triple()
@@ -243,21 +285,27 @@ class LieAlgebra:
     def bracket(self, x: LieElem, y: LieElem) -> LieElem:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        return LieElem(self, self.bracket_terms(x.terms, y.terms))
+        coords = self.bracket_terms(term_coords(x.terms), term_coords(y.terms))
+        return LieElem(self, coord_terms(self.spec.r, coords))
 
     def bracket_terms(self, xs, ys) -> dict:
-        """The bracket of the term maps xs and ys (b -> CycNum), as a
-        fresh map b -> CycNum without zeros."""
-        table = self._table
+        """The bracket of the coordinate maps xs and ys (b -> (a, b), the
+        coordinates of a + b w), as a fresh coordinate map without zeros.
+
+        This is the one loop over structure constants.  It reads the
+        table by row, so a pair of terms with no entry costs one dict
+        miss, and takes the w-product only where a b coordinate is
+        nonzero.
+        """
+        rows = self._rows
         ys = ys.items()
         acc_a, acc_b = {}, {}
-        for b1, c1 in xs.items():
-            a1, w1 = c1.a, c1.b
-            for b2, c2 in ys:
-                entry = table.get((b1, b2))
-                if not entry:
+        for b1, (a1, w1) in xs.items():
+            row = rows[b1]
+            for b2, (a2, w2) in ys:
+                entry = row.get(b2)
+                if entry is None:
                     continue
-                a2, w2 = c2.a, c2.b
                 if w1 or w2:
                     pa, pb = omega_product(a1, w1, a2, w2)
                     for b3, k in entry:
@@ -267,7 +315,16 @@ class LieAlgebra:
                     p = a1 * a2
                     for b3, k in entry:
                         acc_a[b3] = acc_a.get(b3, 0) + p * k
-        return coord_terms(self.spec.r, acc_a, acc_b)
+        if acc_b:
+            return {b: (a, acc_b.get(b, 0)) for b, a in acc_a.items()
+                    if a or acc_b.get(b)}
+        return {b: (a, 0) for b, a in acc_a.items() if a}
+
+    def partners(self, xs) -> frozenset:
+        """The basis indices b2 with [b1, b2] != 0 for some key b1 of xs.
+        A map none of whose keys is among them brackets with xs to zero."""
+        rows = self._rows
+        return frozenset().union(*(rows[b] for b in xs))
 
     def _build_form_table(self):
         # (h_i|h_j) = A'_ij, (e_a|e_-a) = 1, every other pair 0 (absent)
@@ -281,18 +338,27 @@ class LieAlgebra:
     def form(self, x: LieElem, y: LieElem) -> CycNum:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        return self.form_terms(x.terms, y.terms)
+        a, b = self.form_terms(term_coords(x.terms), term_coords(y.terms))
+        return from_coords(self.spec.r, a, b)
 
-    def form_terms(self, xs, ys) -> CycNum:
-        """The invariant form of the term maps xs and ys (b -> CycNum)."""
+    def form_terms(self, xs, ys) -> tuple:
+        """The invariant form of the coordinate maps xs and ys, as the
+        coordinates (a, b) of a + b w."""
         table = self._form
-        total = self.zero_scalar
-        for b1, c1 in xs.items():
-            for b2, c2 in ys.items():
+        ys = ys.items()
+        ta = tb = 0
+        for b1, (a1, w1) in xs.items():
+            for b2, (a2, w2) in ys:
                 pairing = table.get((b1, b2))
-                if pairing is not None:
-                    total = total + c1 * c2 * pairing
-        return total
+                if pairing is None:
+                    continue
+                if w1 or w2:
+                    pa, pb = omega_product(a1, w1, a2, w2)
+                    ta += pa * pairing
+                    tb += pb * pairing
+                else:
+                    ta += a1 * a2 * pairing
+        return ta, tb
 
     # -- diagram automorphism --------------------------------------------
 
@@ -351,21 +417,6 @@ class LieAlgebra:
         return dim
 
     # -- distinguished elements -------------------------------------------
-
-    def folded_generators(self):
-        """Chevalley triples (e_i, f_i, h_i) of the fixed-point subalgebra."""
-        out = []
-        for i in range(1, self.spec.pres_rank + 1):
-            nodes = orbit(self.spec, i)
-            e = self.zero()
-            f = self.zero()
-            h = self.zero()
-            for u in nodes:
-                e = e + self.e(u)
-                f = f + self.f(u)
-                h = h + self.h(u)
-            out.append((e, f, h))
-        return out
 
     def _build_theta_triple(self):
         theta = highest_root(self.spec)

@@ -32,12 +32,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from typing import NamedTuple
 
 from .coeff import CycNum, omega_pow
 from .kahler import Bt, C0, KahlerElem
-from .liealg import EchelonBasis, LieElem, get_algebra
+from .liealg import EchelonBasis, get_algebra
 from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit, root_form, sigma_root
 from .toroidal import LoopElem, ToroidalElem, orbit_sum, toroidal_bracket
 
@@ -610,27 +610,41 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
     produced word is homogeneous in both Laurent degrees, so the span
     meets a slice exactly in the span of the words of that bidegree.
 
-    A round brackets each unordered pair of kept vectors once, in the
-    order of the full fresh-by-kept sweep.  The bracket is bilinear and
-    antisymmetric, so the skipped [v, v] = 0 and [v2, v1] = -[v1, v2]
-    add nothing to a span: the same vectors are kept in the same order.
+    With W_0 the span of the images, W_l = W_(l-1) + [W_(l-1), W_(l-1)]
+    cut to the bracket box.  The bracket is bilinear, so W_l is spanned
+    by the brackets of the vectors kept for W_(l-1), whatever their
+    order and whichever basis was kept; each report line is the rank of
+    one slice of W_L, and `vectors` is the sum of those ranks over the
+    box.  So the pair order below is free, and these pairs are skipped:
+      - [v, v] = 0 and [v2, v1] = -[v1, v2]: a round brackets each
+        unordered pair once, a fresh vector with the older vectors and
+        with the later fresh ones (two older vectors met in a round
+        before);
+      - pairs whose supports give no structure constant: v2 avoids the
+        partners of v1 (`LieAlgebra.partners`), so [v1, v2] = 0 exactly;
+      - pairs that land in a full slice, or outside the box.
+    Vectors are coordinate maps b -> (a, b) from start to finish, ranked
+    per slice by a fraction-free `EchelonBasis`.
     """
     if min(j_window, m_window, word_length) < 0:
         raise ConfigError("span windows and word length must not be negative")
     alg = get_algebra(spec)
-    full = [alg.graded_dim(res) for res in range(spec.r)]
+    r = spec.r
+    full = [alg.graded_dim(res) for res in range(r)]
     shown = list(product(range(-j_window, j_window + 1), range(-m_window, m_window + 1)))
     # the rank each slice of the bracket box still lacks; room.get is 0 in
     # a full slice and None outside the box, and no vector is kept there
-    room = {(j, m): full[j % spec.r] for j in range(-2 * j_window, 2 * j_window + 1)
+    room = {(j, m): full[j % r] for j in range(-2 * j_window, 2 * j_window + 1)
             for m in range(-m_window - 1, m_window + 2)}
     echelons = {key: EchelonBasis() for key in room}
-    accepted = []  # (slice, vector) in the order they were kept
+    accepted = []  # (slice, vector, partners) in the order they were kept
+    by_slice = {key: [] for key in room}  # slice -> [(index in accepted, vector)]
 
-    def absorb(key, lie):
-        if lie and echelons[key].add(lie.terms):
+    def absorb(key, vec):
+        if vec and echelons[key].add(vec, r):
             room[key] -= 1
-            accepted.append((key, lie))
+            by_slice[key].append((len(accepted), vec))
+            accepted.append((key, vec, alg.partners(vec)))
 
     gens = 0
     for i in range(spec.pres_rank + 1):
@@ -643,22 +657,27 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
                 # an image is homogeneous, in slice (k, 0) or (k, +-1)
                 terms = pibar_image(gen, spec).terms
                 (key,) = {(j, m) for _, j, m in terms}
-                absorb(key, LieElem(alg, {b: c for (b, _, _), c in terms.items()}))
+                absorb(key, {b: (c.a, c.b) for (b, _, _), c in terms.items()})
 
     start = 0
     for _ in range(word_length):
-        if start == len(accepted) or not any(room[key] for key in shown):
+        stop = len(accepted)
+        if start == stop or not any(room[key] for key in shown):
             break
-        older = accepted[:start]
-        fresh = accepted[start:]
-        start = len(accepted)
-        for a, ((j1, m1), v1) in enumerate(fresh):
-            for (j2, m2), v2 in chain(older, fresh[a + 1:]):
+        for i1 in range(start, stop):
+            (j1, m1), v1, partners = accepted[i1]
+            for (j2, m2), vectors in by_slice.items():
                 key = (j1 + j2, m1 + m2)
-                if room.get(key):
-                    absorb(key, alg.bracket(v1, v2))
+                if not room.get(key):
+                    continue
+                for i2, v2 in vectors:
+                    if i2 >= stop:
+                        break
+                    if (i2 < start or i2 > i1) and not partners.isdisjoint(v2):
+                        absorb(key, alg.bracket_terms(v1, v2))
+                        if not room[key]:
+                            break
+        start = stop
 
-    slices = {(j, m): (full[j % spec.r] - room[(j, m)], full[j % spec.r])
-              for j, m in shown}
-    return SpanReport(spec, j_window, m_window, word_length, slices, gens,
-                      len(accepted))
+    slices = {(j, m): (full[j % r] - room[(j, m)], full[j % r]) for j, m in shown}
+    return SpanReport(spec, j_window, m_window, word_length, slices, gens, len(accepted))

@@ -52,6 +52,13 @@ class AlgebraSpec:
                 object.__setattr__(self, "n", 3)
             elif self.n < 2:
                 raise ConfigError("D_{n+1} needs n >= 2")
+        # hashed once, since every cached image lookup hashes the spec; the
+        # family enters as an int, so the value is the same in every
+        # process, whatever its str hash seed
+        object.__setattr__(self, "_hash", hash((ord(self.family), self.n, self.r)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def N(self) -> int:

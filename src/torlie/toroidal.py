@@ -29,7 +29,7 @@ d^2*[x, y] is fixed exactly when [x, y] is.
 
 from __future__ import annotations
 
-from .coeff import AlgebraTerms, denominator, from_coords
+from .coeff import AlgebraTerms, coord_terms, denominator, from_coords
 # not called here (`_sigma_coords` rotates coordinates itself), but
 # bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
 from .coeff import omega_pow  # noqa: F401
@@ -65,35 +65,39 @@ class LoopElem(AlgebraTerms):
 
 
 def _by_degree(x) -> dict:
-    """The loop terms of x grouped by degree, (j, m) -> {b: c}; central
-    KSym keys are left out."""
+    """The loop terms of x as coordinates grouped by degree,
+    (j, m) -> {b: (a, b)}; central KSym keys are left out."""
     out: dict = {}
     for key, c in x.terms.items():
         if type(key) is tuple:
             b, j, m = key
-            out.setdefault((j, m), {})[b] = c
+            out.setdefault((j, m), {})[b] = (c.a, c.b)
     return out
 
 
 def _bracket_terms(x, y, cocycle: bool) -> dict:
     """Terms of the bracket of the loop terms of x and y, one pair of
     degree components at a time: g's bracket moved to the summed degree
-    and, when `cocycle` is set, g's form times one Kahler class."""
+    and, when `cocycle` is set, g's form times one Kahler class.  The
+    sums are taken on coordinates, and each CycNum is built once."""
     alg = x.alg
     r = alg.spec.r
-    terms: dict = {}
+    acc: dict = {}
     ys = _by_degree(y).items()
     for (j1, m1), comp1 in _by_degree(x).items():
         for (j2, m2), comp2 in ys:
             j, m = j1 + j2, m1 + m2
-            out = [((b, j, m), c) for b, c in alg.bracket_terms(comp1, comp2).items()]
-            if cocycle and (pairing := alg.form_terms(comp1, comp2)):
-                cls = reduce_b_da((j2, m2), (j1, m1), r)
-                out += [(sym, pairing * v) for sym, v in cls.terms.items()]
-            for key, c in out:
-                s = terms.get(key)
-                terms[key] = c if s is None else s + c
-    return terms
+            out = [((b, j, m), a, w) for b, (a, w) in alg.bracket_terms(comp1, comp2).items()]
+            if cocycle:
+                pa, pb = alg.form_terms(comp1, comp2)
+                if pa or pb:
+                    # a Kahler class has rational coefficients (v.b == 0)
+                    cls = reduce_b_da((j2, m2), (j1, m1), r)
+                    out += [(sym, pa * v.a, pb * v.a) for sym, v in cls.terms.items()]
+            for key, a, w in out:
+                s = acc.get(key)
+                acc[key] = (a, w) if s is None else (s[0] + a, s[1] + w)
+    return coord_terms(r, acc)
 
 
 def loop_bracket(x, y) -> LoopElem:

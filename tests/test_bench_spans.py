@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from torlie import AlgebraSpec, get_algebra, presentation, toroidal
+from torlie.coeff import term_coords
 from torlie.liealg import EchelonBasis
 from torlie.presentation import GenSym
 
@@ -53,7 +54,7 @@ def test_span_recorder_installs_and_restores():
     try:
         alg = get_algebra(A5)
         alg.bracket(alg.e(1), alg.f(1))
-        EchelonBasis().add(alg.e(1).terms)
+        EchelonBasis().add(term_coords(alg.e(1).terms), 2)
         x = presentation.psi_image(GenSym("x+", 1, 1), A5)
         y = presentation.psi_image(GenSym("x-", 1, -1), A5)
         presentation.toroidal_bracket(x, y)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import TWISTED_SPECS
 from torlie import AlgebraSpec, CycNum, LoopElem, fix_project, get_algebra
+from torlie.coeff import term_coords
 from torlie.liealg import EchelonBasis, LieElem
+from torlie.rootdata import orbit
 
 A5 = AlgebraSpec("A", 3, 2)
 D4_B = AlgebraSpec("D", 3, 2)
@@ -22,6 +25,14 @@ def random_elem(alg, rng, size=4):
         if c:
             terms[b] = terms.get(b, alg.zero_scalar) + c
     return LieElem(alg, {b: c for b, c in terms.items() if c})
+
+
+def folded_generators(alg):
+    """Chevalley triples (e_i, f_i, h_i) of the fixed-point subalgebra:
+    the sums of e, f and h over the sigma-orbit of each node i."""
+    return [tuple(sum((gen(u) for u in orbit(alg.spec, i)), alg.zero())
+                  for gen in (alg.e, alg.f, alg.h))
+            for i in range(1, alg.spec.pres_rank + 1)]
 
 
 def grade_component(x, j):
@@ -204,7 +215,7 @@ def test_graded_dims(spec, dims):
     for j in range(spec.r):
         rank = EchelonBasis()
         for b in range(alg.dim):
-            rank.add(grade_component(LieElem.basis(alg, b), j).terms)
+            rank.add(term_coords(grade_component(LieElem.basis(alg, b), j).terms), spec.r)
         assert got[j] == rank.rank
 
 
@@ -212,15 +223,20 @@ def test_graded_dims(spec, dims):
 # echelon basis
 # ---------------------------------------------------------------------------
 
+def add(basis, vec, order=3):
+    """`EchelonBasis.add` of a map key -> CycNum of the given order."""
+    return basis.add(term_coords(vec), order)
+
+
 def test_echelon_refuses_empty_and_zero_vectors():
     basis = EchelonBasis()
-    assert basis.add({}) is False and basis.rank == 0
-    assert basis.add({0: CycNum(3), 5: CycNum(3, 0, 0)}) is False and basis.rank == 0
-    assert basis.add({1: CycNum(3, 2)}) is True and basis.rank == 1
-    assert basis.add({}) is False and basis.add({2: CycNum(3)}) is False
+    assert add(basis, {}) is False and basis.rank == 0
+    assert add(basis, {0: CycNum(3), 5: CycNum(3, 0, 0)}) is False and basis.rank == 0
+    assert add(basis, {1: CycNum(3, 2)}) is True and basis.rank == 1
+    assert add(basis, {}) is False and add(basis, {2: CycNum(3)}) is False
     assert basis.rank == 1
     with pytest.raises(ValueError, match="order mismatch"):
-        basis.add({0: CycNum(2, 1)})
+        add(basis, {0: CycNum(2, 1)}, 2)
 
 
 def test_echelon_rejects_an_omega_combination_and_accepts_a_perturbed_one():
@@ -231,19 +247,95 @@ def test_echelon_rejects_an_omega_combination_and_accepts_a_perturbed_one():
 
     def spanned():
         basis = EchelonBasis()
-        assert basis.add(v1) and basis.add(v2) and basis.rank == 2
+        assert add(basis, v1) and add(basis, v2) and basis.rank == 2
         return basis
 
     basis = spanned()
-    assert basis.add(combo) is False and basis.rank == 2
+    assert add(basis, combo) is False and basis.rank == 2
     # no combination of v1 and v2 is a single basis vector in their
     # support, so bumping one coordinate leaves their span
     for key, bump in ((0, CycNum(3, 1)), (5, w), (11, CycNum(3, Fraction(1, 5)))):
         perturbed = dict(combo)
         perturbed[key] = perturbed.get(key, zero) + bump
         basis = spanned()
-        assert basis.add(perturbed) is True and basis.rank == 3
-        assert basis.add(combo) is False and basis.rank == 3
+        assert add(basis, perturbed) is True and basis.rank == 3
+        assert add(basis, combo) is False and basis.rank == 3
+
+
+def fraction_elimination(vectors, r):
+    """Accept/reject sequence and rank of plain Gaussian elimination over
+    Q on Fraction coordinates, an oracle that shares no code with
+    EchelonBasis.
+
+    Key (k, 0) holds the a coordinate of k and (k, 1) its b coordinate.
+    For r = 3 a line over Q(w) is the Q-plane spanned by v and w v, where
+    w (a + b w) = -b + (a - b) w; so v is independent over Q(w) exactly
+    when both v and w v raise the rank over Q.
+    """
+    rows = []  # (pivot, row with pivot coefficient 1), in insertion order
+
+    def insert(vec):
+        vec = {k: Fraction(a) for k, a in vec.items() if a}
+        for pivot, row in rows:
+            c = vec.get(pivot, 0)
+            if c:
+                for k, a in row.items():
+                    vec[k] = vec.get(k, 0) - c * a
+        vec = {k: a for k, a in vec.items() if a}
+        if not vec:
+            return False
+        pivot = min(vec)
+        rows.append((pivot, {k: a / vec[pivot] for k, a in vec.items()}))
+        return True
+
+    accepted = []
+    for vec in vectors:
+        flat = {(k, 0): a for k, (a, b) in vec.items()}
+        flat.update({(k, 1): b for k, (a, b) in vec.items()})
+        independent = insert(flat)
+        if r == 3:
+            turned = {(k, 0): -b for k, (a, b) in vec.items()}
+            turned.update({(k, 1): a - b for k, (a, b) in vec.items()})
+            assert insert(turned) == independent
+        accepted.append(independent)
+    return accepted, len(rows) // (2 if r == 3 else 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_matches_a_fraction_elimination(r, seed):
+    rng = random.Random(100 * r + seed)
+
+    def scalar():
+        # mostly non-unit values, so pivots are rarely +-1
+        a = Fraction(rng.choice([-6, -4, -3, -2, -1, 2, 3, 4, 6]), rng.choice([1, 1, 2, 3, 5]))
+        b = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) if r == 3 else 0
+        return CycNum(r, a, b)
+
+    vectors = []
+    for _ in range(30):
+        if vectors and rng.random() < 0.4:
+            # a combination of earlier vectors, which must be rejected
+            vec = {}
+            for old in rng.sample(vectors, min(3, len(vectors))):
+                c = scalar()
+                for k, x in old.items():
+                    vec[k] = vec.get(k, CycNum(r)) + c * x
+        else:
+            vec = {k: scalar() for k in rng.sample(range(9), rng.randint(1, 4))}
+        vectors.append({k: x for k, x in vec.items() if x})
+    coords = [term_coords(vec) for vec in vectors]
+    basis = EchelonBasis()
+    got = [basis.add(vec, r) for vec in coords]
+    want, rank = fraction_elimination(coords, r)
+    assert got == want and basis.rank == rank
+    assert True in got and False in got
+    # the rows are integral, primitive and reduced
+    for pivot, (ra, rb) in basis.rows.items():
+        values = [*ra.values(), *rb.values()]
+        assert all(type(v) is int for v in values) and gcd(*values) == 1
+        assert ra[pivot] or rb.get(pivot)
+        assert not any(ra.get(p) or rb.get(p) for p in basis.rows if p != pivot)
 
 
 @pytest.mark.parametrize("spec", [A5, D4_G])
@@ -269,10 +361,10 @@ def test_bracket_respects_grading(spec):
 
 def test_folded_generator_examples():
     alg = get_algebra(A5)
-    e, f, h = alg.folded_generators()[0]
+    e, f, h = folded_generators(alg)[0]
     assert h == alg.h(1) + alg.h(5)
     g2 = get_algebra(D4_G)
-    e2, f2, h2 = g2.folded_generators()[1]
+    e2, f2, h2 = folded_generators(g2)[1]
     assert e2 == g2.e(2)
 
 
@@ -280,7 +372,7 @@ def test_folded_generator_examples():
 def test_folded_generators_realize_folded_matrix(spec):
     # alpha_j(h_i) recovered through brackets: [h_i, e_j] = a_ij e_j
     alg = get_algebra(spec)
-    gens = alg.folded_generators()
+    gens = folded_generators(alg)
     A = alg.cartan.A_folded
     for i, (_, _, h) in enumerate(gens):
         for j, (e, f, hj) in enumerate(gens):
@@ -292,7 +384,7 @@ def test_folded_generators_realize_folded_matrix(spec):
 @pytest.mark.parametrize("spec", TWISTED_SPECS)
 def test_folded_serre_relations(spec):
     alg = get_algebra(spec)
-    gens = alg.folded_generators()
+    gens = folded_generators(alg)
     A = alg.cartan.A_folded
     for i, (ei, _, _) in enumerate(gens):
         for j, (ej, _, _) in enumerate(gens):

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import TWISTED_SPECS, UNTWISTED_SPECS
 from torlie import AlgebraSpec, get_algebra, presentation
+from torlie.coeff import coord_terms
 from torlie.kahler import Bt, C0, KahlerElem
+from torlie.liealg import LieElem
 from torlie.presentation import (
     GenSym,
     RelationId,
@@ -485,6 +487,22 @@ def test_psi_image_is_cached_and_shared():
             assert img.render() == fresh.render()
 
 
+def test_equal_specs_hash_equal_and_share_cached_images():
+    # the spec hash is computed once per spec; equality is unchanged
+    import pickle
+
+    a, b = AlgebraSpec("D", 4, 3), AlgebraSpec("D", 3, 3)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+    assert AlgebraSpec("A", 3, 2) != AlgebraSpec("A", 3, 1)
+    assert len({AlgebraSpec(f, n, r) for f in "AD" for n in (2, 3) for r in (1, 2)}) == 8
+    gen = GenSym("x+", 1, 0)
+    image = psi_image(gen, a)
+    hits = psi_image.cache_info().hits
+    assert psi_image(gen, b) is image
+    assert psi_image.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("spec", [A5, D4_G])
 def test_reports_do_not_depend_on_the_image_cache(spec, monkeypatch):
     psi_image.cache_clear()
@@ -616,20 +634,52 @@ def test_span_slices_target_graded_dims():
 
 def test_span_check_brackets_each_pair_once(monkeypatch):
     alg = get_algebra(A5)  # built before recording: its set-up brackets too
-    bracket = type(alg).bracket
+    bracket_terms = type(alg).bracket_terms
     pairs = []
 
     def recording(self, x, y):
         pairs.append((id(x), id(y)))
-        return bracket(self, x, y)
+        return bracket_terms(self, x, y)
 
-    monkeypatch.setattr(type(alg), "bracket", recording)
+    monkeypatch.setattr(type(alg), "bracket_terms", recording)
     report = span_check(A5, 1, 1, 4)
     assert report.complete and report.vectors == 449
     assert all(x != y for x, y in pairs)
     assert len({frozenset(pair) for pair in pairs}) == len(pairs)
-    # 13,863 before the pair rule: 117 of [v, v] and 3,711 repeated pairs
-    assert len(pairs) == 10035
+    # 13,863 before the pair rule: 117 of [v, v] and 3,711 repeated pairs;
+    # 10,035 after it, before pairs with no structure constant between
+    # their supports were skipped and full slices left at once
+    assert len(pairs) == 5630
+
+
+@pytest.mark.parametrize("spec,args", [(A5, (1, 1, 4)), (D4_G, (1, 1, 3)),
+                                       (AlgebraSpec("A", 2, 1), (1, 1, 3))],
+                         ids=["A5", "D4 r=3", "A3 r=1"])
+def test_span_check_skips_only_zero_brackets(monkeypatch, spec, args):
+    # every pair of kept vectors that the support screen would skip has
+    # no structure constant between the supports, and brackets to zero
+    alg = get_algebra(spec)
+    partners = type(alg).partners
+    kept = []
+
+    def recording(self, vec):
+        out = partners(self, vec)
+        kept.append((vec, out))
+        return out
+
+    monkeypatch.setattr(type(alg), "partners", recording)
+    report = span_check(spec, *args)
+    assert len(kept) == report.vectors
+    table = alg._table
+    skipped = 0
+    for v1, screen in kept:
+        for v2, _ in kept:
+            if screen.isdisjoint(v2):
+                skipped += 1
+                assert not any((b1, b2) in table for b1 in v1 for b2 in v2)
+                x, y = (LieElem(alg, coord_terms(spec.r, v)) for v in (v1, v2))
+                assert alg.bracket(x, y).is_zero()
+    assert skipped > report.vectors
 
 
 def test_span_check_rejects_negative_windows():
