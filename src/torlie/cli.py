@@ -183,10 +183,11 @@ def cmd_dump_structure(spec: AlgebraSpec, out) -> int:
     alg = get_algebra(spec)
     writer = csv.writer(out)
     writer.writerow(["basis_a", "basis_b", "basis_result", "coeff"])
-    for (b1, b2), entry in sorted(alg._table.items()):
-        for b3, coeff in entry:
-            writer.writerow([alg.basis_name(b1), alg.basis_name(b2),
-                             alg.basis_name(b3), coeff])
+    for b1, row in enumerate(alg._rows):
+        for b2, entry in sorted(row.items()):
+            for b3, coeff in entry:
+                writer.writerow([alg.basis_name(b1), alg.basis_name(b2),
+                                 alg.basis_name(b3), coeff])
     return 0
 
 

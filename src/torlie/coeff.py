@@ -1,6 +1,6 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_r) for r in {1, 2, 3}.
 
-Every stored scalar is a ``CycNum``: a pair of rationals (a, b)
+A scalar is a ``CycNum``: a pair of rationals (a, b)
 representing a + b*w with w = exp(2*pi*i/r).  For r = 1 and r = 2 the
 basis is {1} (w collapses to 1 and -1 respectively); for r = 3 the basis
 is {1, w} and products reduce through the minimal polynomial
@@ -13,21 +13,20 @@ that make up almost every coefficient cost int arithmetic only.
 Scalars carry their order r and refuse to mix with scalars of a
 different order; plain ints and Fractions coerce into any order.
 
-The hot kernels (the Lie bracket, which the loop and extended brackets
-call per pair of degree components, and echelon reduction) do not
-compute through ``CycNum`` objects: they take coordinate maps key ->
-(a, b) (`term_coords` reads one off a term map) and multiply and
-accumulate plain int/Fraction pairs; a caller that needs an element
-builds one ``CycNum`` per nonzero output term (`coord_terms`).
-
-`SparseTerms` is the one format of every vector in the library: an
-immutable sparse map from a basis key to a nonzero CycNum.
+Elements of the algebras (`SparseTerms`) store no CycNum: an element
+is integer coordinates key -> (a, b) over one positive int
+denominator, in a canonical form that makes equality a comparison of
+ints.  Sums, multiples, the Lie bracket and form (which take such
+coordinate maps, `LieAlgebra.bracket_terms` and `form_terms`),
+echelon reduction and the twisted automorphism all run on ints; a
+CycNum per term is built only when an element's `terms` are read, as
+a render does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 _ORDERS = (1, 2, 3)
@@ -253,16 +252,6 @@ def from_coords(order: int, a, b=0) -> CycNum:
     return out
 
 
-def term_coords(terms) -> dict:
-    """The coordinate map key -> (a, b) of a map key -> CycNum."""
-    return {k: (c.a, c.b) for k, c in terms.items()}
-
-
-def coord_terms(order: int, coords: dict) -> dict:
-    """{key: CycNum} of a coordinate map key -> (a, b), the zeros left
-    out; b is 0 unless the order is 3."""
-    return {k: from_coords(order, a, b) for k, (a, b) in coords.items() if a or b}
-
 # w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {
     order: tuple(CycNum.omega(order) ** e for e in range(order)) for order in _ORDERS
@@ -277,50 +266,6 @@ def omega_pow(order: int, exponent: int) -> CycNum:
     return powers[exponent % order]
 
 
-def drop_zeros(terms: dict) -> dict:
-    """`terms` itself when no value is zero, else a copy without the zeros."""
-    if all(terms.values()):
-        return terms
-    return {k: v for k, v in terms.items() if v}
-
-
-def algebra_terms(terms: dict, order: int) -> dict:
-    """`drop_zeros` for an element of an algebra of twist `order`, which
-    refuses a coefficient of any other cyclotomic order (ValueError)."""
-    # one pass over the values, which costs no more than drop_zeros alone
-    for c in terms.values():
-        if c.order != order or not (c.a or c.b):
-            break
-    else:
-        return terms
-    for c in terms.values():
-        if c.order != order:
-            raise ValueError(f"coefficient {c} has cyclotomic order {c.order}, "
-                             f"not the algebra's twist order {order}")
-    return {k: v for k, v in terms.items() if v}
-
-
-def denominator(*elements) -> int:
-    """Least common denominator of every coordinate of the elements; 1
-    when they are all integral."""
-    d = 1
-    for x in elements:
-        for c in x.terms.values():
-            if type(c.a) is not int or type(c.b) is not int:
-                d = lcm(d, c.a.denominator, c.b.denominator)
-    return d
-
-
-def cleared_int(x, d: int) -> int:
-    """d*x as an int, for a coordinate x whose denominator divides d."""
-    return x * d if type(x) is int else x.numerator * (d // x.denominator)
-
-
-def _divided(x, d: int):
-    """x/d as an exact coordinate, before `from_coords` makes it canonical."""
-    return Fraction(x, d) if x else 0
-
-
 def coeff_prefix(c: CycNum, symbol: str) -> str:
     """Render coeff*symbol, folding unit coefficients into the symbol."""
     s = str(c)
@@ -333,27 +278,94 @@ def coeff_prefix(c: CycNum, symbol: str) -> str:
     return f"{s}*{symbol}"
 
 
-class SparseTerms:
-    """Immutable sparse combination: `terms` maps a key to a CycNum.
 
-    Invariant: no stored coefficient is zero.  The constructor enforces
-    it, through `drop_zeros`, so two elements are equal exactly when
-    their term maps are, and `==` is an exact zero test of the
-    difference.  The constructor takes ownership of the dict it is given
-    and does not copy it (a copy would cost every bracket); callers hand
-    over a fresh dict and do not touch it afterwards.  `terms` is a
-    read-only view of that dict, and attributes cannot be reassigned, so
-    elements can be shared.
+def cleared_int(x, d: int) -> int:
+    """d*x as an int, for a coordinate x whose denominator divides d."""
+    return x * d if type(x) is int else x.numerator * (d // x.denominator)
+
+
+def integral_coords(vec: dict) -> tuple:
+    """(coords, den) for a coordinate map key -> (a, b) of int or
+    Fraction: den is the least common denominator and coords, den times
+    `vec`, has int pairs.  Without (0, 0) pairs, that is canonical (see
+    `SparseTerms`): a prime power that divides den exactly divides the
+    denominator of some coordinate, whose cleared numerator it misses."""
+    den = 1
+    for a, b in vec.values():
+        if type(a) is not int or type(b) is not int:
+            den = lcm(den, a.denominator, b.denominator)
+    if den == 1:
+        return vec, 1
+    return {k: (cleared_int(a, den), cleared_int(b, den)) for k, (a, b) in vec.items()}, den
+
+
+def canonical(coords: dict, den: int) -> tuple:
+    """Canonical (coords, den) of the value coords/den, for den > 0: the
+    (0, 0) pairs dropped, and both divided by their gcd."""
+    coords = {k: ab for k, ab in coords.items() if ab[0] or ab[1]}
+    if not coords:
+        return coords, 1
+    g = den
+    for a, b in coords.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return coords, den
+    return {k: (a // g, b // g) for k, (a, b) in coords.items()}, den // g
+
+
+def denominator(*elements) -> int:
+    """Least common denominator of every coordinate of the elements; 1
+    when they are all integral."""
+    return lcm(*(x.den for x in elements))
+
+
+class SparseTerms:
+    """Immutable sparse combination over Q(zeta_r), held as integer
+    coordinates over one denominator.
+
+    `coords` maps a key to the ints (a, b) and `den` is a positive int:
+    the coefficient of the key is (a + b w)/den.  The form is canonical:
+    no pair is (0, 0), the gcd of den and every coordinate is 1, and
+    zero has den == 1.  It is unique, because den' * coords ==
+    den * coords' makes den divide den' times the content of coords',
+    which is coprime to den', so den | den' and likewise den' | den.
+    So `==` compares den and `coords` and is an exact zero test of the
+    difference; it, sums, multiples, brackets and the twisted
+    automorphism all run on ints and build no scalar.
+
+    `terms`, key -> nonzero CycNum, is built on first read and kept; it
+    is what `render` reads.  The constructor takes such a map, and takes
+    ownership of it (callers hand over a fresh dict).  `coords` and
+    `terms` are read-only views and attributes cannot be reassigned, so
+    elements can be shared.  `order` is the cyclotomic order of the
+    scalars; a KahlerElem reads it off its coefficients, and one built
+    without any has order None and combines with any.
 
     Subclasses name (`_symbol`) and order (`_sort_key`) their keys for
     `render`; `AlgebraTerms` binds elements to one algebra.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coords", "den", "order", "_terms")
 
     def __init__(self, terms: dict | None = None):
-        terms = {} if terms is None else drop_zeros(terms)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        terms = terms or {}
+        orders = {c.order for c in terms.values()}
+        if len(orders) > 1:
+            raise ValueError(f"cyclotomic order mismatch: {sorted(orders)}")
+        self._fill(_nonzero(terms), orders.pop() if orders else None)
+
+    def _fill(self, terms: dict, order):
+        """Set the slots from a map key -> nonzero CycNum, kept as `terms`."""
+        coords, den = integral_coords({k: (c.a, c.b) for k, c in terms.items()})
+        _set_elem(self, coords, den, order)
+        object.__setattr__(self, "_terms", MappingProxyType(terms))
+
+    @classmethod
+    def _of(cls, coords: dict, den: int, order):
+        """The element coords/den, for coordinates already canonical."""
+        out = object.__new__(cls)
+        _set_elem(out, coords, den, order)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -361,18 +373,38 @@ class SparseTerms:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def terms(self):
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        order, den = self.order, self.den
+        view = MappingProxyType({
+            k: from_coords(order, a, b) if den == 1 else
+            from_coords(order, Fraction(a, den), Fraction(b, den))
+            for k, (a, b) in self.coords.items()})
+        object.__setattr__(self, "_terms", view)
+        return view
+
     # -- hooks of algebra-bound subclasses ------------------------------
 
-    def _new(self, terms: dict, other=None):
-        """A sibling element over the same space; `other` is the second
-        operand of a sum, for subclasses that carry more than terms."""
-        return type(self)(terms)
+    def _sibling(self, coords: dict, den: int, other=None):
+        """An element of the same space from canonical coordinates;
+        `other` is the second operand of a sum, for subclasses that
+        carry more than coordinates."""
+        order = self.order if self.coords or other is None else other.order
+        return self._of(coords, den, order)
 
-    def _scalar(self, value):
+    def _scalar(self, value) -> CycNum:
+        if type(value) is not CycNum:
+            return CycNum(self.order or 1, value)
+        if self.coords and value.order != self.order:
+            raise ValueError(f"cyclotomic order mismatch: {self.order} vs {value.order}")
         return value
 
     def _same_space(self, other) -> bool:
-        return True
+        return self.order == other.order or not (self.coords and other.coords)
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -383,49 +415,59 @@ class SparseTerms:
 
     # -- vector space operations ----------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign*other, in one pass over the lcm of the two dens."""
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            terms[k] = c if s is None else s + c
-        return self._new(terms, other)
+        dx, dy = self.den, other.den
+        g = gcd(dx, dy)
+        fx, fy = dy // g, sign * (dx // g)
+        coords = times(self.coords, fx)
+        for k, (a, b) in other.coords.items():
+            s = coords.get(k)
+            coords[k] = (a * fy, b * fy) if s is None else (s[0] + a * fy, s[1] + b * fy)
+        return self._sibling(*canonical(coords, dx * fx), other)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        return self._sibling(times(self.coords, -1), self.den)
 
     def scale(self, value):
         c = self._scalar(value)
-        return self._new({k: v * c for k, v in self.terms.items()})
+        q = lcm(c.a.denominator, c.b.denominator)
+        pa, pb = cleared_int(c.a, q), cleared_int(c.b, q)
+        coords = {k: omega_product(pa, pb, a, b) for k, (a, b) in self.coords.items()}
+        return self._sibling(*canonical(coords, self.den * q))
 
     __mul__ = __rmul__ = scale
 
     def cleared(self, d: int):
-        """d times this element, for an int d that clears every
-        denominator (see `denominator`).  Each coordinate is written as
-        an int directly; `_new` carries the element's flags over."""
-        return self._new({k: from_coords(c.order, cleared_int(c.a, d), cleared_int(c.b, d))
-                          for k, c in self.terms.items()})
+        """d times this element, for an int d; a multiple of `den` gives
+        den == 1."""
+        return self._sibling(*canonical(times(self.coords, d), self.den))
 
     def divided(self, d: int):
-        """This element divided by the nonzero int d: one exact division
-        per nonzero coordinate, which `from_coords` makes canonical."""
-        return self._new({k: from_coords(c.order, _divided(c.a, d), _divided(c.b, d))
-                          for k, c in self.terms.items()})
+        """This element divided by the nonzero int d."""
+        if not d:
+            raise ZeroDivisionError("element divided by zero")
+        return self._sibling(*canonical(times(self.coords, -1 if d < 0 else 1),
+                                        self.den * abs(d)))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._same_space(other) and self.terms == other.terms
+        return (self._same_space(other) and self.den == other.den
+                and self.coords == other.coords)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coords)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coords
 
     # -- display ----------------------------------------------------------
 
@@ -434,9 +476,10 @@ class SparseTerms:
 
     def render(self) -> str:
         """Signed sum of coeff*symbol in key order; "0" when empty."""
+        terms = self.terms
         out = ""
-        for key in sorted(self.terms, key=self._sort_key):
-            part = coeff_prefix(self.terms[key], self._symbol(key))
+        for key in sorted(terms, key=self._sort_key):
+            part = coeff_prefix(terms[key], self._symbol(key))
             if not out:
                 out = part
             elif part.startswith("-"):
@@ -449,20 +492,62 @@ class SparseTerms:
         return f"{type(self).__name__}({self.render()})"
 
 
+# the slot setters, which SparseTerms.__setattr__ refuses to reach
+_set_coords = SparseTerms.coords.__set__
+_set_den = SparseTerms.den.__set__
+_set_elem_order = SparseTerms.order.__set__
+
+
+def _set_elem(out, coords: dict, den: int, order):
+    _set_coords(out, MappingProxyType(coords))
+    _set_den(out, den)
+    _set_elem_order(out, order)
+
+
+def times(coords, f: int) -> dict:
+    """A fresh coordinate map, every pair times the int f."""
+    if f == 1:
+        return dict(coords)
+    return {k: (a * f, b * f) for k, (a, b) in coords.items()}
+
+
+def _nonzero(terms: dict) -> dict:
+    """`terms` itself when no value is zero, else a copy without the zeros."""
+    if all(terms.values()):
+        return terms
+    return {k: v for k, v in terms.items() if v}
+
+
 class AlgebraTerms(SparseTerms):
     """SparseTerms bound to one algebra, whose scalars they take: a
-    coefficient of another cyclotomic order is refused when built."""
+    coefficient of another cyclotomic order is refused when built.
+    `_graded` keeps a loop element's degree grouping once computed
+    (`toroidal._by_degree`)."""
 
-    __slots__ = ("alg",)
+    __slots__ = ("alg", "_graded")
 
     def __init__(self, alg, terms: dict):
-        # no super() call: the bracket loops build one element per bracket
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms",
-                           MappingProxyType(algebra_terms(terms, alg.spec.r)))
+        r = alg.spec.r
+        for c in terms.values():
+            if c.order != r:
+                raise ValueError(f"coefficient {c} has cyclotomic order {c.order}, "
+                                 f"not the algebra's twist order {r}")
+        self._fill(_nonzero(terms), r)
+        _set_alg(self, alg)
 
-    def _new(self, terms: dict, other=None):
-        return type(self)(self.alg, terms)
+    @classmethod
+    def _of(cls, alg, coords: dict, den: int):
+        """The element coords/den of `alg`, for canonical coordinates."""
+        out = object.__new__(cls)
+        out._bind(alg, coords, den)
+        return out
+
+    def _bind(self, alg, coords: dict, den: int):
+        _set_elem(self, coords, den, alg.spec.r)
+        _set_alg(self, alg)
+
+    def _sibling(self, coords: dict, den: int, other=None):
+        return self._of(self.alg, coords, den)
 
     def _scalar(self, value):
         return self.alg.scalar(value)
@@ -472,3 +557,6 @@ class AlgebraTerms(SparseTerms):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.alg.spec.name}, {self.render()})"
+
+
+_set_alg = AlgebraTerms.alg.__set__

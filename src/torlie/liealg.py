@@ -22,18 +22,18 @@ the automorphism property on every pair of basis vectors.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .coeff import (
     AlgebraTerms,
     CycNum,
-    cleared_int,
-    coord_terms,
+    canonical,
+    integral_coords,
     from_coords,
     omega_pow,
     omega_product,
-    term_coords,
 )
 from .rootdata import (
     AlgebraSpec,
@@ -54,7 +54,7 @@ class LieElem(AlgebraTerms):
         return cls(alg, {index: alg.scalar(coeff)})
 
     def __hash__(self):
-        return hash((id(self.alg), frozenset(self.terms.items())))
+        return hash((id(self.alg), self.den, frozenset(self.coords.items())))
 
     def _symbol(self, b: int) -> str:
         return self.alg.basis_name(b)
@@ -111,12 +111,7 @@ class EchelonBasis:
 def _integral(vec: dict) -> tuple:
     """`vec` times its common denominator, as (a, b) coordinate maps in
     Z[w]; the b map holds no zero."""
-    d = 1
-    for a, b in vec.values():
-        if type(a) is not int or type(b) is not int:
-            d = lcm(d, a.denominator, b.denominator)
-    if d != 1:
-        vec = {k: (cleared_int(a, d), cleared_int(b, d)) for k, (a, b) in vec.items()}
+    vec = integral_coords(vec)[0]
     return {k: a for k, (a, _) in vec.items()}, {k: b for k, (_, b) in vec.items() if b}
 
 
@@ -177,12 +172,7 @@ class LieAlgebra:
             tuple(sum(A[i][j] * root[j] for j in range(self.N)) for i in range(self.N))
             for root in self.roots
         )
-        self._table = self._build_bracket_table()
-        # the same entries by row, b1 -> {b2: entry}; a row's keys are the
-        # partners of b1, the b2 with [b1, b2] != 0
-        self._rows = tuple({} for _ in range(self.dim))
-        for (b1, b2), entry in self._table.items():
-            self._rows[b1][b2] = entry
+        self._rows = self._build_bracket_rows()
         self._form = self._build_form_table()
         self._sigma = self._build_sigma_table()
         self._theta = self._build_theta_triple()
@@ -261,32 +251,34 @@ class LieAlgebra:
         s *= 1 if self._positive(ab) else -1
         return self._epsilon(a, b) * s
 
-    def _build_bracket_table(self):
-        table = {}
+    def _build_bracket_rows(self):
+        """The structure constants by row: rows[b1][b2] is the entry
+        ((b3, k), ...) with [b1, b2] = sum of k b3, and a row's keys are
+        the partners of b1, the b2 with [b1, b2] != 0."""
+        rows = tuple({} for _ in range(self.dim))
         N = self.N
         for ri in range(len(self.roots)):
             for i in range(N):
                 c = self._pairing[ri][i]
                 if c:
-                    table[(i, N + ri)] = ((N + ri, c),)
-                    table[(N + ri, i)] = ((N + ri, -c),)
+                    rows[i][N + ri] = ((N + ri, c),)
+                    rows[N + ri][i] = ((N + ri, -c),)
         for ri, a in enumerate(self.roots):
             for rj, b in enumerate(self.roots):
                 if rj == self._neg[ri]:
-                    entry = tuple((i, c) for i, c in enumerate(a) if c)
-                    table[(N + ri, N + rj)] = entry
+                    rows[N + ri][N + rj] = tuple((i, c) for i, c in enumerate(a) if c)
                     continue
                 ab = tuple(x + y for x, y in zip(a, b))
                 rk = self.root_index.get(ab)
                 if rk is not None:
-                    table[(N + ri, N + rj)] = ((N + rk, self._struct(a, b)),)
-        return table
+                    rows[N + ri][N + rj] = ((N + rk, self._struct(a, b)),)
+        return rows
 
     def bracket(self, x: LieElem, y: LieElem) -> LieElem:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        coords = self.bracket_terms(term_coords(x.terms), term_coords(y.terms))
-        return LieElem(self, coord_terms(self.spec.r, coords))
+        coords = self.bracket_terms(x.coords, y.coords)
+        return LieElem._of(self, *canonical(coords, x.den * y.den))
 
     def bracket_terms(self, xs, ys) -> dict:
         """The bracket of the coordinate maps xs and ys (b -> (a, b), the
@@ -338,8 +330,9 @@ class LieAlgebra:
     def form(self, x: LieElem, y: LieElem) -> CycNum:
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        a, b = self.form_terms(term_coords(x.terms), term_coords(y.terms))
-        return from_coords(self.spec.r, a, b)
+        a, b = self.form_terms(x.coords, y.coords)
+        d = x.den * y.den
+        return from_coords(self.spec.r, Fraction(a, d), Fraction(b, d))
 
     def form_terms(self, xs, ys) -> tuple:
         """The invariant form of the coordinate maps xs and ys, as the
@@ -387,11 +380,11 @@ class LieAlgebra:
 
     def sigma(self, x: LieElem) -> LieElem:
         # a signed permutation of the basis: distinct keys never collide
-        terms = {}
-        for b, c in x.terms.items():
+        coords = {}
+        for b, (a, w) in x.coords.items():
             b2, s = self._sigma[b]
-            terms[b2] = c if s == 1 else -c
-        return LieElem(self, terms)
+            coords[b2] = (a, w) if s == 1 else (-a, -w)
+        return LieElem._of(self, coords, x.den)
 
     def graded_dim(self, j: int) -> int:
         """Dimension of the w^j-eigenspace of sigma, counted from its cycles.

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .coeff import CycNum, omega_pow
+from .coeff import CycNum, integral_coords, omega_pow
 from .kahler import Bt, C0, KahlerElem
 from .liealg import EchelonBasis, get_algebra
 from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit, root_form, sigma_root
@@ -335,7 +335,8 @@ def _zero(spec) -> ToroidalElem:
 def _central_c(spec, coeff) -> ToroidalElem:
     """coeff times the image of the central generator."""
     zero = _zero(spec)
-    return zero._new({C0: zero.alg.scalar(coeff)})
+    c = zero.alg.scalar(coeff)
+    return zero._sibling(*integral_coords({C0: (c.a, c.b)} if c else {}))
 
 
 def _x(spec, sign, i, k) -> ToroidalElem:
@@ -407,7 +408,7 @@ def relation_sides(rel: RelationId, spec: AlgebraSpec):
 
 def evaluate_case(spec: AlgebraSpec, rel: RelationId) -> RelationReport:
     lhs, rhs = relation_sides(rel, spec)
-    # exact: no element stores a zero coefficient (see SparseTerms)
+    # exact: elements are kept in a canonical form (see SparseTerms)
     if lhs == rhs:
         return RelationReport(rel, True)
     return RelationReport(rel, False, (lhs - rhs).render())
@@ -654,10 +655,11 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
                 if not admissible(spec, gen):
                     continue
                 gens += 1
-                # an image is homogeneous, in slice (k, 0) or (k, +-1)
-                terms = pibar_image(gen, spec).terms
-                (key,) = {(j, m) for _, j, m in terms}
-                absorb(key, {b: (c.a, c.b) for (b, _, _), c in terms.items()})
+                # an image is homogeneous, in slice (k, 0) or (k, +-1); its
+                # integer coordinates span what its value spans
+                coords = pibar_image(gen, spec).coords
+                (key,) = {(j, m) for _, j, m in coords}
+                absorb(key, {b: ab for (b, _, _), ab in coords.items()})
 
     start = 0
     for _ in range(word_length):

@@ -19,17 +19,22 @@ Elements tagged as twisted are validated eagerly: the loop terms must
 be fixed by the twisted automorphism and every central symbol must have
 s-degree divisible by the twist order.
 
-Fractional operands are bracketed on integer coordinates: with d the
-least common denominator of both operands, `toroidal_bracket` brackets
-d*x and d*y, checks that result, and divides it by d^2 once at the
-end.  This is exact, because the bracket and the cocycle are bilinear,
-so [d*x, d*y] = d^2*[x, y], and the twisted automorphism is linear, so
-d^2*[x, y] is fixed exactly when [x, y] is.
+Every element is integer coordinates over one denominator (see
+`coeff.SparseTerms`), and so is every operation here.  The bracket of
+x = X/dx and y = Y/dy brackets the integer numerators X and Y and puts
+the result over dx*dy*e, where e clears the Kahler classes; both the
+bracket and the cocycle are bilinear, so that is [x, y] exactly.  It is
+made canonical by one gcd, and the fixedness check runs on that result:
+the twisted automorphism is linear, so the common denominator plays no
+part in it.  Each operand groups its loop coordinates by degree once
+(`_by_degree`) and keeps the grouping.
 """
 
 from __future__ import annotations
 
-from .coeff import AlgebraTerms, coord_terms, denominator, from_coords
+from math import lcm
+
+from .coeff import AlgebraTerms, canonical, times
 # not called here (`_sigma_coords` rotates coordinates itself), but
 # bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
 from .coeff import omega_pow  # noqa: F401
@@ -48,7 +53,7 @@ class LoopElem(AlgebraTerms):
 
     @classmethod
     def from_lie(cls, x: LieElem, j: int = 0, m: int = 0) -> "LoopElem":
-        return cls(x.alg, {(b, j, m): c for b, c in x.terms.items()})
+        return cls._of(x.alg, {(b, j, m): ab for b, ab in x.coords.items()}, x.den)
 
     def _symbol(self, key) -> str:
         b, j, m = key
@@ -65,45 +70,67 @@ class LoopElem(AlgebraTerms):
 
 
 def _by_degree(x) -> dict:
-    """The loop terms of x as coordinates grouped by degree,
-    (j, m) -> {b: (a, b)}; central KSym keys are left out."""
+    """The loop coordinates of x grouped by degree, (j, m) -> {b: (a, b)},
+    central KSym keys left out; computed once per element and kept."""
+    try:
+        return x._graded
+    except AttributeError:
+        pass
     out: dict = {}
-    for key, c in x.terms.items():
+    for key, ab in x.coords.items():
         if type(key) is tuple:
             b, j, m = key
-            out.setdefault((j, m), {})[b] = (c.a, c.b)
+            out.setdefault((j, m), {})[b] = ab
+    object.__setattr__(x, "_graded", out)
     return out
 
 
-def _bracket_terms(x, y, cocycle: bool) -> dict:
-    """Terms of the bracket of the loop terms of x and y, one pair of
-    degree components at a time: g's bracket moved to the summed degree
-    and, when `cocycle` is set, g's form times one Kahler class.  The
-    sums are taken on coordinates, and each CycNum is built once."""
+def _bracket_coords(x, y, cocycle: bool) -> tuple:
+    """Canonical (coords, den) of the bracket of the loop terms of x and
+    y, one pair of degree components at a time: g's bracket of the two
+    numerators moved to the summed degree and, when `cocycle` is set,
+    g's form times one Kahler class.
+
+    The numerators are brackets of ints, so the result is over
+    dx*dy*e, where e is the lcm of the denominators of the Kahler
+    classes that meet a nonzero pairing; it is made canonical by one gcd.
+    """
     alg = x.alg
     r = alg.spec.r
     acc: dict = {}
+    classes = []  # (pa, pb, class): central terms, before e is known
     ys = _by_degree(y).items()
     for (j1, m1), comp1 in _by_degree(x).items():
         for (j2, m2), comp2 in ys:
             j, m = j1 + j2, m1 + m2
-            out = [((b, j, m), a, w) for b, (a, w) in alg.bracket_terms(comp1, comp2).items()]
+            for b, (a, w) in alg.bracket_terms(comp1, comp2).items():
+                key = (b, j, m)
+                s = acc.get(key)
+                acc[key] = (a, w) if s is None else (s[0] + a, s[1] + w)
             if cocycle:
                 pa, pb = alg.form_terms(comp1, comp2)
                 if pa or pb:
-                    # a Kahler class has rational coefficients (v.b == 0)
-                    cls = reduce_b_da((j2, m2), (j1, m1), r)
-                    out += [(sym, pa * v.a, pb * v.a) for sym, v in cls.terms.items()]
-            for key, a, w in out:
-                s = acc.get(key)
-                acc[key] = (a, w) if s is None else (s[0] + a, s[1] + w)
-    return coord_terms(r, acc)
+                    classes.append((pa, pb, reduce_b_da((j2, m2), (j1, m1), r)))
+    den = x.den * y.den
+    if classes:
+        e = lcm(*(cls.den for _, _, cls in classes))
+        if e != 1:
+            acc = {key: (a * e, w * e) for key, (a, w) in acc.items()}
+            den *= e
+        for pa, pb, cls in classes:
+            f = e // cls.den
+            # a Kahler class has rational coefficients (its b is 0)
+            for sym, (v, _) in cls.coords.items():
+                v *= f
+                s = acc.get(sym)
+                acc[sym] = (pa * v, pb * v) if s is None else (s[0] + pa * v, s[1] + pb * v)
+    return canonical(acc, den)
 
 
 def loop_bracket(x, y) -> LoopElem:
     """Bracket of the loop terms of two LoopElems or ToroidalElems."""
     x._check(y)
-    return LoopElem(x.alg, _bracket_terms(x, y, False))
+    return LoopElem._of(x.alg, *_bracket_coords(x, y, False))
 
 
 def _sigma_coords(sigma: dict, r: int, key: tuple, a, b) -> tuple:
@@ -131,16 +158,19 @@ def _sigma_coords(sigma: dict, r: int, key: tuple, a, b) -> tuple:
 
 
 def sigma_bar(x: LoopElem) -> LoopElem:
-    """Twisted automorphism: basis automorphism times omega^(-j)."""
+    """Twisted automorphism: basis automorphism times omega^(-j).
+
+    A signed permutation of the basis keeps (j, m), so keys never
+    collide, and a unit of Z[w] keeps the content of each pair, so the
+    coordinates stay canonical over the same den."""
     alg = x.alg
     r = alg.spec.r
     sigma = alg._sigma
-    # a signed permutation of the basis keeps (j, m): keys never collide
     out = {}
-    for key, c in x.terms.items():
-        image, a, b = _sigma_coords(sigma, r, key, c.a, c.b)
-        out[image] = from_coords(r, a, b)
-    return LoopElem(alg, out)
+    for key, (a, b) in x.coords.items():
+        image, a, b = _sigma_coords(sigma, r, key, a, b)
+        out[image] = (a, b)
+    return LoopElem._of(alg, out, x.den)
 
 
 def orbit_sum(x: LoopElem, count: int) -> LoopElem:
@@ -168,33 +198,53 @@ class ToroidalElem(AlgebraTerms):
 
     def __init__(self, loop: LoopElem, central: KahlerElem | None = None,
                  twisted: bool = False):
-        terms = dict(loop.terms)
-        if central is not None:
-            terms.update(central.terms)
-        AlgebraTerms.__init__(self, loop.alg, terms)
+        alg = loop.alg
+        coords, den = loop.coords, loop.den
+        if central is not None and central.coords:
+            r = alg.spec.r
+            if central.order != r:
+                c = next(iter(central.terms.values()))
+                raise ValueError(f"coefficient {c} has cyclotomic order {c.order}, "
+                                 f"not the algebra's twist order {r}")
+            # both parts are canonical, so over the lcm of their dens
+            # the merged coordinates are too
+            d = lcm(den, central.den)
+            coords = times(coords, d // den)
+            coords.update(times(central.coords, d // central.den))
+            den = d
+        self._bind(alg, dict(coords), den)
         object.__setattr__(self, "twisted", twisted)
         if twisted:
             self.validate_twisted()
 
-    def _new(self, terms: dict, other=None):
-        out = object.__new__(ToroidalElem)
-        AlgebraTerms.__init__(out, self.alg, terms)
-        twisted = self.twisted and (other is None or other.twisted)
+    @classmethod
+    def _of(cls, alg, coords: dict, den: int, twisted: bool = False):
+        out = super()._of(alg, coords, den)
         object.__setattr__(out, "twisted", twisted)
         return out
+
+    def _sibling(self, coords: dict, den: int, other=None):
+        twisted = self.twisted and (other is None or other.twisted)
+        return self._of(self.alg, coords, den, twisted)
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "ToroidalElem":
         return cls(LoopElem.zero(alg), twisted=True)
 
+    def _part(self, loop: bool) -> tuple:
+        """Canonical (coords, den) of the loop or the central terms."""
+        part = {k: ab for k, ab in self.coords.items() if (type(k) is tuple) == loop}
+        if len(part) == len(self.coords):
+            return part, self.den
+        return canonical(part, self.den)
+
     @property
     def loop(self) -> LoopElem:
-        terms = self.terms.items()
-        return LoopElem(self.alg, {k: c for k, c in terms if type(k) is tuple})
+        return LoopElem._of(self.alg, *self._part(True))
 
     @property
     def central(self) -> KahlerElem:
-        return KahlerElem({k: c for k, c in self.terms.items() if type(k) is not tuple})
+        return KahlerElem._of(*self._part(False), self.order)
 
     def validate_twisted(self):
         """Raise ValueError unless sigma_bar fixes the loop terms and every
@@ -204,15 +254,15 @@ class ToroidalElem(AlgebraTerms):
         fixes the loop terms exactly when it maps each one into the map.
         Each image is compared on coordinates, as `_sigma_coords` gives
         it: the signed basis permutation and the rotation by w^(-j).
+        sigma_bar is linear, so the common den plays no part.
         """
         r = self.alg.spec.r
         sigma = self.alg._sigma
-        terms = self.terms
-        for key, c in terms.items():
+        coords = self.coords
+        for key, (a, b) in coords.items():
             if type(key) is tuple:
-                image, a, b = _sigma_coords(sigma, r, key, c.a, c.b)
-                v = terms.get(image)
-                if v is None or v.a != a or v.b != b:
+                image, a, b = _sigma_coords(sigma, r, key, a, b)
+                if coords.get(image) != (a, b):
                     raise ValueError(
                         "loop part is not fixed by the twisted automorphism")
             elif key.s_degree() % r:
@@ -230,23 +280,17 @@ class ToroidalElem(AlgebraTerms):
         return (1, key)
 
 
+
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     """Bracket with the differential 2-cocycle; central inputs die.
 
-    Fractional operands are first scaled by their least common
-    denominator d, so every structure-constant and form product is a
-    product of ints; the result is checked on those coordinates and
-    divided by d^2 once.  Both the bracket and the cocycle are bilinear,
-    so this gives [x, y] exactly, and the check is unchanged because
-    the twisted automorphism is linear.  Integral operands (d = 1) are
-    neither copied nor divided.
+    The two numerators are bracketed on ints (`_bracket_coords`), and
+    the canonical result is checked once when both operands are
+    twisted.  That check is exact on the result itself, since the
+    twisted automorphism is linear and so ignores the common den.
     """
     x._check(y)
-    d = denominator(x, y)
-    if d != 1:
-        x, y = x.cleared(d), y.cleared(d)
-    terms = _bracket_terms(x, y, True)
-    out = x._new(terms, y)
+    out = ToroidalElem._of(x.alg, *_bracket_coords(x, y, True), x.twisted and y.twisted)
     if out.twisted:
         out.validate_twisted()
-    return out if d == 1 else out.divided(d * d)
+    return out

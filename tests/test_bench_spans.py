@@ -12,8 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import term_coords
 from torlie import AlgebraSpec, get_algebra, presentation, toroidal
-from torlie.coeff import term_coords
 from torlie.liealg import EchelonBasis
 from torlie.presentation import GenSym
 

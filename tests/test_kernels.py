@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_table
 from torlie import AlgebraSpec, get_algebra
 from torlie.coeff import CycNum
 from torlie.kahler import Bt, C0, KahlerElem, reduce_b_da
@@ -95,19 +96,21 @@ def _nonzero(terms):
 
 
 def ref_lie_bracket(alg, x, y):
+    table = reference_table(alg)
     terms = {}
     for b1, c1 in x.items():
         for b2, c2 in y.items():
-            for b3, k in alg._table.get((b1, b2), ()):
+            for b3, k in table.get((b1, b2), ()):
                 _accumulate(terms, b3, ref_mul(ref_mul(c1, c2), CycNum(alg.spec.r, k)))
     return _nonzero(terms)
 
 
 def ref_loop_bracket(alg, x, y):
+    table = reference_table(alg)
     terms = {}
     for (b1, j1, m1), c1 in x.items():
         for (b2, j2, m2), c2 in y.items():
-            for b3, k in alg._table.get((b1, b2), ()):
+            for b3, k in table.get((b1, b2), ()):
                 _accumulate(terms, (b3, j1 + j2, m1 + m2),
                             ref_mul(ref_mul(c1, c2), CycNum(alg.spec.r, k)))
     return _nonzero(terms)

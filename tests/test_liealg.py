@@ -4,9 +4,8 @@ from math import gcd
 
 import pytest
 
-from conftest import TWISTED_SPECS
+from conftest import TWISTED_SPECS, term_coords
 from torlie import AlgebraSpec, CycNum, LoopElem, fix_project, get_algebra
-from torlie.coeff import term_coords
 from torlie.liealg import EchelonBasis, LieElem
 from torlie.rootdata import orbit
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,10 +9,12 @@ from torlie import AlgebraSpec, get_algebra
 from torlie.coeff import CycNum, denominator, omega_pow
 from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
 from torlie.liealg import LieElem
+from torlie.presentation import GenSym, psi_image
 from torlie.rootdata import build_cartan, enumerate_roots
 from torlie.toroidal import (
     LoopElem,
     ToroidalElem,
+    _by_degree,
     _sigma_coords,
     fix_project,
     loop_bracket,
@@ -180,22 +183,70 @@ def _coordinates(x):
     return [v for c in x.terms.values() for v in (c.a, c.b)]
 
 
+# -- a reference on CycNum arithmetic ---------------------------------------
+# Each function below recomputes an operation term by term on maps
+# key -> CycNum with CycNum sums and products, and shares no code with the
+# integer coordinates the elements compute on.
+
+def _accumulate(terms, key, value):
+    s = terms.get(key)
+    terms[key] = value if s is None else s + value
+
+
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+def _reference_combination(x, y, sign):
+    terms = dict(x.terms)
+    for key, c in y.terms.items():
+        _accumulate(terms, key, c * sign)
+    return _nonzero(terms)
+
+
+def _reference_sigma_bar(x):
+    """s * w^(-j) * c at (v', j, m) for each term c at (v, j, m), where
+    sigma sends v to s * v'."""
+    r = x.alg.spec.r
+    out = {}
+    for (v, j, m), c in x.terms.items():
+        v2, s = x.alg._sigma[v]
+        out[(v2, j, m)] = c * omega_pow(r, -j) * s
+    return out
+
+
+def _reference_fix_project(x):
+    r = x.alg.spec.r
+    terms, cur = {}, x
+    for _ in range(r):
+        for key, c in cur.terms.items():
+            _accumulate(terms, key, c / r)
+        cur = LoopElem(x.alg, _reference_sigma_bar(cur))
+    return _nonzero(terms)
+
+
 def _reference_bracket(x, y):
-    """[x, y] on the operands as given, with no clearing of denominators:
-    the loop bracket plus the cocycle summed term by term, and whether a
-    cocycle class with a nonzero pairing had a fractional coordinate."""
+    """The terms of [x, y] summed term by term on CycNum arithmetic: the
+    bracket and form of each pair of basis vectors times c1 * c2, moved
+    to the summed degree, and the pairing times one Kahler class; and
+    whether a cocycle class with a nonzero pairing had a fractional
+    coordinate."""
     alg = x.alg
-    central = KahlerElem()
+    terms = {}
     fractional_class = False
     for (b1, j1, m1), c1 in x.loop.terms.items():
         for (b2, j2, m2), c2 in y.loop.terms.items():
-            pairing = alg.form(LieElem.basis(alg, b1), LieElem.basis(alg, b2))
+            e1, e2 = LieElem.basis(alg, b1), LieElem.basis(alg, b2)
+            for b3, k in alg.bracket(e1, e2).terms.items():
+                _accumulate(terms, (b3, j1 + j2, m1 + m2), c1 * c2 * k)
+            pairing = alg.form(e1, e2)
             if not pairing:
                 continue
             cls = reduce_b_da((j2, m2), (j1, m1), alg.spec.r)
             fractional_class |= any(type(v) is Fraction for v in _coordinates(cls))
-            central = central + cls.scale(c1 * c2 * pairing)
-    return ToroidalElem(loop_bracket(x, y), central), fractional_class
+            for sym, v in cls.terms.items():
+                _accumulate(terms, sym, c1 * c2 * pairing * v)
+    return _nonzero(terms), fractional_class
 
 
 @pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
@@ -211,7 +262,7 @@ def test_fractional_bracket_matches_unscaled_reference(spec):
                                for z in (x, y) for c in z.terms.values())
         got = toroidal_bracket(x, y)
         want, fractional_class = _reference_bracket(x, y)
-        assert got.terms == want.terms and got.twisted
+        assert got.terms == want and got.twisted
         fractional_classes += fractional_class
         # canonical coordinates: an int exactly when integral
         for v in _coordinates(got):
@@ -219,6 +270,85 @@ def test_fractional_bracket_matches_unscaled_reference(spec):
         fractional_results += any(type(v) is Fraction for v in _coordinates(got))
     assert cleared >= 30 and fractional_classes > 0 and fractional_results > 0
     assert omega_fractions == (spec.r == 3)
+
+
+@pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
+def test_linear_operations_match_cycnum_reference(spec):
+    alg = get_algebra(spec)
+    r = spec.r
+    rng = random.Random(43 + spec.N + spec.r)
+    scalars = [alg.scalar(Fraction(-3, 4)), alg.scalar(5), CycNum(r, Fraction(1, 3), 2)]
+    fractional = 0
+    for _ in range(30):
+        raw = _omega_loop(alg, rng)
+        x, y = rand_fixed(alg, rng), rand_fixed(alg, rng)
+        fractional += x.den != 1
+        assert (x + y).terms == _reference_combination(x, y, 1)
+        assert (x - y).terms == _reference_combination(x, y, -1)
+        assert (x - x).terms == {} and (-x).terms == {k: -v for k, v in x.terms.items()}
+        for c in scalars:
+            assert x.scale(c).terms == _nonzero({k: v * c for k, v in x.terms.items()})
+        for d in (2, -3, 6):
+            assert x.divided(d).terms == {k: v / d for k, v in x.terms.items()}
+        assert sigma_bar(raw).terms == _reference_sigma_bar(raw)
+        assert fix_project(raw).terms == _reference_fix_project(raw)
+    assert fractional > 20
+
+
+def _assert_canonical(x):
+    """den > 0, no (0, 0) pair, gcd(den, every coordinate) == 1, and
+    den == 1 for zero."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int for ab in x.coords.values() for v in ab)
+    assert all(a or b for a, b in x.coords.values())
+    assert gcd(x.den, *(v for ab in x.coords.values() for v in ab)) == 1
+    assert x.coords or x.den == 1
+
+
+@pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
+def test_elements_stay_canonical_and_immutable(spec):
+    alg = get_algebra(spec)
+    rng = random.Random(71 + spec.N + spec.r)
+    outputs = []
+    for _ in range(15):
+        x, y = rand_fixed(alg, rng), rand_fixed(alg, rng)
+        outputs += [x + y, x - y, x - x, x.scale(Fraction(2, 3)), x.scale(0),
+                    x.divided(6), x.divided(-4), toroidal_bracket(x, y),
+                    toroidal_bracket(x, x), fix_project(rand_loop(alg, rng)),
+                    fix_project(x.loop).divided(5)]
+    zeros = 0
+    for z in outputs:
+        _assert_canonical(z)
+        zeros += not z
+    assert zeros >= 30 and any(z.den != 1 for z in outputs)
+    # the form is unique: equal values have equal coordinates and den
+    for z in outputs[:40]:
+        for w in outputs[:40]:
+            if type(z) is type(w):
+                assert (z == w) == (z.terms == w.terms)
+    x = outputs[0]
+    assert x == x.scale(3).divided(3) and x.divided(4) == x.scale(Fraction(1, 4))
+    # the coordinate view is read-only, and no slot can be rebound
+    key = next(iter(x.coords))
+    with pytest.raises(TypeError):
+        x.coords[key] = (1, 0)
+    for name in ("coords", "den", "order", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+
+    # a cached image keeps its render after its terms and its degree
+    # grouping are read and after it served as an operand
+    image = psi_image(GenSym("x+", 1, 1), spec)
+    before = image.render()
+    coords, den = dict(image.coords), image.den
+    assert image.terms and _by_degree(image)
+    other = psi_image(GenSym("x-", 1, 0), spec)
+    for _ in range(2):
+        toroidal_bracket(image, other), toroidal_bracket(other, image)
+        image + other, image - other, -image, image.scale(3), image.divided(2)
+    assert _by_degree(image) is _by_degree(image)
+    assert image.render() == before and psi_image(GenSym("x+", 1, 1), spec) is image
+    assert dict(image.coords) == coords and image.den == den
 
 
 def test_cleared_and_divided_keep_value_and_flag():
@@ -244,7 +374,8 @@ def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
     assert len(pairs) >= 5
     wants = [toroidal_bracket(x, y) for x, y in pairs]
 
-    # one check per twisted output, made on d^2 times the result
+    # one check per twisted output, made on the canonical result itself:
+    # the twisted automorphism is linear, so its den plays no part
     checked = []
     validate = ToroidalElem.validate_twisted
 
@@ -253,11 +384,14 @@ def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(ToroidalElem, "validate_twisted", counted)
+    fractional = 0
     for (x, y), want in zip(pairs, wants):
         got = toroidal_bracket(x, y)
-        d = denominator(x, y)
         assert got.twisted and got == want
-        assert len(checked) == 1 and checked.pop() == got.scale(d * d)
+        assert len(checked) == 1 and checked.pop() is got
+        _assert_canonical(got)
+        fractional += got.den != 1
+    assert fractional >= 5
 
     # a twisted automorphism with one wrong sign makes the check fail
     (x, y), want = next((p, w) for p, w in zip(pairs, wants) if w.loop)
