@@ -238,20 +238,6 @@ def omega_product(a1, b1, a2, b2) -> tuple:
     return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
 
 
-def from_coords(order: int, a, b=0) -> CycNum:
-    """The CycNum a + b*w, its slots set directly.
-
-    For the kernels, which know their order and give b == 0 unless the
-    order is 3, so none of the checks of `CycNum.__init__` apply; only a
-    non-int coordinate passes `exact`, which makes it canonical.
-    """
-    out = object.__new__(CycNum)
-    _set_order(out, order)
-    _set_a(out, a if type(a) is int else exact(a))
-    _set_b(out, b if type(b) is int else exact(b))
-    return out
-
-
 # w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {
     order: tuple(CycNum.omega(order) ** e for e in range(order)) for order in _ORDERS
@@ -313,10 +299,9 @@ def canonical(coords: dict, den: int) -> tuple:
     return {k: (a // g, b // g) for k, (a, b) in coords.items()}, den // g
 
 
-def denominator(*elements) -> int:
-    """Least common denominator of every coordinate of the elements; 1
-    when they are all integral."""
-    return lcm(*(x.den for x in elements))
+def from_terms(terms: dict) -> tuple:
+    """Canonical (coords, den) of a map key -> CycNum, its zeros dropped."""
+    return integral_coords({k: (c.a, c.b) for k, c in terms.items() if c})
 
 
 class SparseTerms:
@@ -333,9 +318,10 @@ class SparseTerms:
     difference; it, sums, multiples, brackets and the twisted
     automorphism all run on ints and build no scalar.
 
-    `terms`, key -> nonzero CycNum, is built on first read and kept; it
-    is what `render` reads.  The constructor takes such a map, and takes
-    ownership of it (callers hand over a fresh dict).  `coords` and
+    `_of` builds every element from canonical coordinates; the
+    constructor takes a map key -> CycNum instead and converts it
+    (`from_terms`).  `terms`, key -> nonzero CycNum, is built from the
+    coordinates on each read; it is what `render` reads.  `coords` and
     `terms` are read-only views and attributes cannot be reassigned, so
     elements can be shared.  `order` is the cyclotomic order of the
     scalars; a KahlerElem reads it off its coefficients, and one built
@@ -345,26 +331,22 @@ class SparseTerms:
     `render`; `AlgebraTerms` binds elements to one algebra.
     """
 
-    __slots__ = ("coords", "den", "order", "_terms")
+    __slots__ = ("coords", "den", "order")
 
-    def __init__(self, terms: dict | None = None):
+    def __new__(cls, terms: dict | None = None):
         terms = terms or {}
         orders = {c.order for c in terms.values()}
         if len(orders) > 1:
             raise ValueError(f"cyclotomic order mismatch: {sorted(orders)}")
-        self._fill(_nonzero(terms), orders.pop() if orders else None)
-
-    def _fill(self, terms: dict, order):
-        """Set the slots from a map key -> nonzero CycNum, kept as `terms`."""
-        coords, den = integral_coords({k: (c.a, c.b) for k, c in terms.items()})
-        _set_elem(self, coords, den, order)
-        object.__setattr__(self, "_terms", MappingProxyType(terms))
+        return cls._of(*from_terms(terms), orders.pop() if orders else None)
 
     @classmethod
     def _of(cls, coords: dict, den: int, order):
         """The element coords/den, for coordinates already canonical."""
         out = object.__new__(cls)
-        _set_elem(out, coords, den, order)
+        _set_coords(out, MappingProxyType(coords))
+        _set_den(out, den)
+        _set_elem_order(out, order)
         return out
 
     def __setattr__(self, name, value):
@@ -375,17 +357,11 @@ class SparseTerms:
 
     @property
     def terms(self):
-        try:
-            return self._terms
-        except AttributeError:
-            pass
         order, den = self.order, self.den
-        view = MappingProxyType({
-            k: from_coords(order, a, b) if den == 1 else
-            from_coords(order, Fraction(a, den), Fraction(b, den))
+        return MappingProxyType({
+            k: CycNum(order, a, b) if den == 1 else
+            CycNum(order, Fraction(a, den), Fraction(b, den))
             for k, (a, b) in self.coords.items()})
-        object.__setattr__(self, "_terms", view)
-        return view
 
     # -- hooks of algebra-bound subclasses ------------------------------
 
@@ -445,11 +421,6 @@ class SparseTerms:
 
     __mul__ = __rmul__ = scale
 
-    def cleared(self, d: int):
-        """d times this element, for an int d; a multiple of `den` gives
-        den == 1."""
-        return self._sibling(*canonical(times(self.coords, d), self.den))
-
     def divided(self, d: int):
         """This element divided by the nonzero int d."""
         if not d:
@@ -498,24 +469,11 @@ _set_den = SparseTerms.den.__set__
 _set_elem_order = SparseTerms.order.__set__
 
 
-def _set_elem(out, coords: dict, den: int, order):
-    _set_coords(out, MappingProxyType(coords))
-    _set_den(out, den)
-    _set_elem_order(out, order)
-
-
 def times(coords, f: int) -> dict:
     """A fresh coordinate map, every pair times the int f."""
     if f == 1:
         return dict(coords)
     return {k: (a * f, b * f) for k, (a, b) in coords.items()}
-
-
-def _nonzero(terms: dict) -> dict:
-    """`terms` itself when no value is zero, else a copy without the zeros."""
-    if all(terms.values()):
-        return terms
-    return {k: v for k, v in terms.items() if v}
 
 
 class AlgebraTerms(SparseTerms):
@@ -526,25 +484,23 @@ class AlgebraTerms(SparseTerms):
 
     __slots__ = ("alg", "_graded")
 
-    def __init__(self, alg, terms: dict):
+    def __new__(cls, alg, terms: dict):
         r = alg.spec.r
         for c in terms.values():
             if c.order != r:
                 raise ValueError(f"coefficient {c} has cyclotomic order {c.order}, "
                                  f"not the algebra's twist order {r}")
-        self._fill(_nonzero(terms), r)
-        _set_alg(self, alg)
+        return cls._of(alg, *from_terms(terms))
 
     @classmethod
     def _of(cls, alg, coords: dict, den: int):
         """The element coords/den of `alg`, for canonical coordinates."""
         out = object.__new__(cls)
-        out._bind(alg, coords, den)
+        _set_coords(out, MappingProxyType(coords))
+        _set_den(out, den)
+        _set_elem_order(out, alg.spec.r)
+        _set_alg(out, alg)
         return out
-
-    def _bind(self, alg, coords: dict, den: int):
-        _set_elem(self, coords, den, alg.spec.r)
-        _set_alg(self, alg)
 
     def _sibling(self, coords: dict, den: int, other=None):
         return self._of(self.alg, coords, den)

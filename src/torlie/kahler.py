@@ -16,9 +16,8 @@ else a multiple of Bt(J) plus, at J = 0, a multiple of C0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeff import CycNum, SparseTerms
+from .coeff import SparseTerms, canonical
 
 LaurentMono = tuple  # (s-degree, t-degree)
 
@@ -69,12 +68,14 @@ def reduce_b_da(b: LaurentMono, a: LaurentMono, order: int = 1) -> KahlerElem:
     For M != 0 the dt term is -(l J/M) s^(J-1) t^M ds plus the exact
     (l/M) d(s^J t^M), so the class is ((k M - l J)/M) Bs(J, M).  For M = 0
     it is l Bt(J), plus k C0 when J = 0 (else the ds term is exact).
+    The class is built from those ints, over the positive den |M| or 1.
     """
     p, q = b
     k, l = a
     J, M = p + k, q + l
     if M:
-        return KahlerElem({Bs(J, M): CycNum(order, Fraction(k * M - l * J, M))})
-    terms = {C0: CycNum(order, k)} if J == 0 else {}
-    terms[Bt(J)] = CycNum(order, l)
-    return KahlerElem(terms)
+        s = 1 if M > 0 else -1
+        return KahlerElem._of(*canonical({Bs(J, M): (s * (k * M - l * J), 0)}, s * M), order)
+    coords = {C0: (k, 0)} if J == 0 else {}
+    coords[Bt(J)] = (l, 0)
+    return KahlerElem._of(*canonical(coords, 1), order)

@@ -31,7 +31,6 @@ from .coeff import (
     CycNum,
     canonical,
     integral_coords,
-    from_coords,
     omega_pow,
     omega_product,
 )
@@ -332,7 +331,7 @@ class LieAlgebra:
             raise ValueError("elements belong to a different algebra")
         a, b = self.form_terms(x.coords, y.coords)
         d = x.den * y.den
-        return from_coords(self.spec.r, Fraction(a, d), Fraction(b, d))
+        return CycNum(self.spec.r, Fraction(a, d), Fraction(b, d))
 
     def form_terms(self, xs, ys) -> tuple:
         """The invariant form of the coordinate maps xs and ys, as the

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .coeff import CycNum, integral_coords, omega_pow
+from .coeff import CycNum, omega_pow
 from .kahler import Bt, C0, KahlerElem
 from .liealg import EchelonBasis, get_algebra
 from .rootdata import AlgebraSpec, ConfigError, build_cartan, orbit, root_form, sigma_root
@@ -334,9 +334,7 @@ def _zero(spec) -> ToroidalElem:
 
 def _central_c(spec, coeff) -> ToroidalElem:
     """coeff times the image of the central generator."""
-    zero = _zero(spec)
-    c = zero.alg.scalar(coeff)
-    return zero._sibling(*integral_coords({C0: (c.a, c.b)} if c else {}))
+    return psi_image(GenSym("c"), spec).scale(coeff)
 
 
 def _x(spec, sign, i, k) -> ToroidalElem:

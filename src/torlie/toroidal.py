@@ -33,8 +33,10 @@ part in it.  Each operand groups its loop coordinates by degree once
 from __future__ import annotations
 
 from math import lcm
+from types import MappingProxyType
 
 from .coeff import AlgebraTerms, canonical, times
+from .coeff import _set_alg, _set_coords, _set_den, _set_elem_order
 # not called here (`_sigma_coords` rotates coordinates itself), but
 # bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
 from .coeff import omega_pow  # noqa: F401
@@ -196,8 +198,8 @@ class ToroidalElem(AlgebraTerms):
 
     __slots__ = ("twisted",)
 
-    def __init__(self, loop: LoopElem, central: KahlerElem | None = None,
-                 twisted: bool = False):
+    def __new__(cls, loop: LoopElem, central: KahlerElem | None = None,
+                twisted: bool = False):
         alg = loop.alg
         coords, den = loop.coords, loop.den
         if central is not None and central.coords:
@@ -212,15 +214,20 @@ class ToroidalElem(AlgebraTerms):
             coords = times(coords, d // den)
             coords.update(times(central.coords, d // central.den))
             den = d
-        self._bind(alg, dict(coords), den)
-        object.__setattr__(self, "twisted", twisted)
+        out = cls._of(alg, dict(coords), den, twisted)
         if twisted:
-            self.validate_twisted()
+            out.validate_twisted()
+        return out
 
     @classmethod
     def _of(cls, alg, coords: dict, den: int, twisted: bool = False):
-        out = super()._of(alg, coords, den)
-        object.__setattr__(out, "twisted", twisted)
+        """The element coords/den of `alg`, for canonical coordinates."""
+        out = object.__new__(cls)
+        _set_coords(out, MappingProxyType(coords))
+        _set_den(out, den)
+        _set_elem_order(out, alg.spec.r)
+        _set_alg(out, alg)
+        _set_twisted(out, twisted)
         return out
 
     def _sibling(self, coords: dict, den: int, other=None):
@@ -279,6 +286,9 @@ class ToroidalElem(AlgebraTerms):
             return (0,) + LoopElem._sort_key(self, key)
         return (1, key)
 
+
+# the slot setter, which SparseTerms.__setattr__ refuses to reach
+_set_twisted = ToroidalElem.twisted.__set__
 
 
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:

@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from conftest import TWISTED_SPECS
 from torlie import AlgebraSpec, get_algebra
-from torlie.coeff import CycNum, denominator, omega_pow
+from torlie.coeff import CycNum, omega_pow
 from torlie.kahler import Bs, Bt, C0, KahlerElem, reduce_b_da
 from torlie.liealg import LieElem
-from torlie.presentation import GenSym, psi_image
+from torlie.presentation import GenSym, _central_c, psi_image
 from torlie.rootdata import build_cartan, enumerate_roots
 from torlie.toroidal import (
     LoopElem,
@@ -257,7 +257,7 @@ def test_fractional_bracket_matches_unscaled_reference(spec):
     omega_fractions = False
     for _ in range(40):
         x, y = rand_fixed(alg, rng), rand_fixed(alg, rng)
-        cleared += denominator(x, y) != 1
+        cleared += lcm(x.den, y.den) != 1
         omega_fractions |= any(type(c.b) is Fraction
                                for z in (x, y) for c in z.terms.values())
         got = toroidal_bracket(x, y)
@@ -350,15 +350,43 @@ def test_elements_stay_canonical_and_immutable(spec):
     assert image.render() == before and psi_image(GenSym("x+", 1, 1), spec) is image
     assert dict(image.coords) == coords and image.den == den
 
+    # the elements built straight from ints: Kahler classes at M < 0 and
+    # at M = 0 with J = 0, in the algebra's order, against the classes
+    # written out on CycNum scalars; and the central image at 0 and at
+    # fractional coefficients, against the public constructors
+    r = spec.r
+    dens = set()
+    for (p, q), (k, l) in (((2, -3), (1, 1)), ((0, -5), (2, 1)), ((-1, 2), (3, -4)),
+                           ((-2, 0), (2, 0)), ((-3, -1), (3, 1)), ((1, 1), (-1, -1))):
+        J, M = p + k, q + l
+        if M:
+            want = {Bs(J, M): CycNum(r, Fraction(k * M - l * J, M))}
+        else:
+            assert J == 0
+            want = {C0: CycNum(r, k), Bt(J): CycNum(r, l)}
+        want = {sym: c for sym, c in want.items() if c}
+        got = reduce_b_da((p, q), (k, l), r)
+        _assert_canonical(got)
+        assert got.order == r and got.terms == want and got == KahlerElem(want)
+        dens.add(got.den)
+    assert dens == {1, 2}
+    for c in (0, Fraction(-3, 4), CycNum(r, Fraction(1, 3), 2)):
+        got = _central_c(spec, c)
+        central = KahlerElem({C0: alg.scalar(c)} if c else {})
+        _assert_canonical(got)
+        assert got.twisted and got.order == r
+        assert got == ToroidalElem(LoopElem.zero(alg), central, twisted=True)
 
-def test_cleared_and_divided_keep_value_and_flag():
+
+def test_scaled_by_den_and_divided_keep_value_and_flag():
     alg = get_algebra(D4_TRIALITY)
     rng = random.Random(12)
     x = rand_fixed(alg, rng)
-    d = denominator(x)
+    d = x.den
     assert d > 1
-    big = x.cleared(d)
-    assert big.twisted and big == x.scale(d) and denominator(big) == 1
+    big = x.scale(d)
+    assert big.twisted and big.den == 1
+    assert big.terms == {k: v * d for k, v in x.terms.items()}
     assert all(type(v) is int for v in _coordinates(big))
     back = big.divided(d)
     assert back.twisted and back.terms == x.terms
@@ -370,7 +398,7 @@ def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
     alg = get_algebra(spec)
     rng = random.Random(23 + spec.N + spec.r)
     pairs = [(rand_fixed(alg, rng), rand_fixed(alg, rng)) for _ in range(10)]
-    pairs = [(x, y) for x, y in pairs if denominator(x, y) != 1]
+    pairs = [(x, y) for x, y in pairs if lcm(x.den, y.den) != 1]
     assert len(pairs) >= 5
     wants = [toroidal_bracket(x, y) for x, y in pairs]
 
