@@ -21,10 +21,10 @@ presentation is checked through families "U1".."U6".  `CATALOG` is the
 one place where they are written down: one row per family, with its
 index sources, signs and shape.  Every constant a row reads comes from
 `relation_constant`, a function of the Cartan matrix, sigma and the
-highest root alone.  Each family is evaluated two-sided: the left side
-by actual brackets of generator images, the right side from the row's
-closed form, so a pass means the constant fixed by the root data is
-exactly reproduced by the extension cocycle.
+highest root alone.  Each case is evaluated two-sided: the left side is
+the image of `relation_instance`'s word, by brackets of generator images,
+the right side that of the row's closed form, so a pass means the constant
+fixed by the root data is exactly reproduced by the extension cocycle.
 """
 
 from __future__ import annotations
@@ -337,71 +337,72 @@ def _central_c(spec, coeff) -> ToroidalElem:
     return psi_image(GenSym("c"), spec).scale(coeff)
 
 
-def _x(spec, sign, i, k) -> ToroidalElem:
-    return psi_image(GenSym("x" + sign, i, k), spec)
+def relation_instance(rel: RelationId, spec: AlgebraSpec) -> tuple:
+    """(word, rhs): the case as formal data, meaning word = rhs.
 
-
-def _a(spec, i, k) -> ToroidalElem:
-    return psi_image(GenSym("a", i, k), spec)
-
-
-def serre_word(spec: AlgebraSpec, sign: str, i: int, j: int,
-               degrees: tuple) -> ToroidalElem:
-    """[X(+-a_i, k_q), ..., [X(+-a_i, k_1), X(+-a_j, k_0)]] for degrees
-    (k_0, ..., k_q), bracketed onto the word of degrees[:-1].
-
-    That shorter word comes from `_serre_prefix`, a small bounded cache.
-    `enumerate_cases` lists a Serre family's degree tuples in `product`
-    order, so the cases that share a prefix are adjacent and the cache
-    brackets each shared prefix once.  Sharing is exact: a cached word
-    is the immutable element that the same brackets of the same images
-    would build again.
+    A word is a GenSym or a pair (u, v) of words, meaning [u, v]; rhs,
+    the row's closed form, is a tuple of (scalar, GenSym) terms, () for
+    zero.  No term has a zero coefficient, so an ax row with a zero
+    constant never names X(+-a_j, k+l), whose degree may be inadmissible.
     """
-    if len(degrees) == 1:
-        return _x(spec, sign, j, degrees[0])
-    return toroidal_bracket(_x(spec, sign, i, degrees[-1]),
-                            _serre_prefix(spec, sign, i, j, degrees[:-1]))
-
-
-# Prefixes kept by serre_word.  A word has at most 4 brackets (S_ij >= -3),
-# so between two uses of a prefix that is itself a bracket at most 1 + p
-# other prefixes are cached, for pools of p degrees: 32 catches every
-# shared bracket up to p = 31, far past any window a run takes.
-SERRE_PREFIXES_KEPT = 32
-_serre_prefix = lru_cache(maxsize=SERRE_PREFIXES_KEPT)(serre_word)
-
-
-def relation_sides(rel: RelationId, spec: AlgebraSpec):
-    """(lhs, rhs): brackets of images vs the cataloged closed form."""
     row = _row(spec, rel.family)
     i, j = _slots(spec, rel.family)[rel.indices]
     sign, degrees = rel.sign, rel.degrees
+    x = "x" + sign
     if row.shape == "c":
-        (k,) = degrees
-        operand = _a(spec, i, k) if sign == "" else _x(spec, sign, i, k)
-        return toroidal_bracket(psi_image(GenSym("c"), spec), operand), _zero(spec)
+        return (GenSym("c"), GenSym(x if sign else "a", i, degrees[0])), ()
     if row.shape == "serre":
-        return serre_word(spec, sign, i, j, degrees), _zero(spec)
+        word = GenSym(x, j, degrees[0])
+        for k in degrees[1:]:
+            word = (GenSym(x, i, k), word)
+        return word, ()
     k, l = degrees
     if row.shape == "xx":
-        return toroidal_bracket(_x(spec, sign, i, k), _x(spec, sign, i, l)), _zero(spec)
+        return (GenSym(x, i, k), GenSym(x, i, l)), ()
     if row.shape == "xy" and i != j:
-        return toroidal_bracket(_x(spec, "+", i, k), _x(spec, "-", j, l)), _zero(spec)
+        return (GenSym("x+", i, k), GenSym("x-", j, l)), ()
     const = relation_constant(spec, row.shape, i, j, k % spec.r)
     if row.shape == "aa":
-        lhs = toroidal_bracket(_a(spec, i, k), _a(spec, j, l))
-        return lhs, _central_c(spec, const * k if k == -l else 0)
+        coeff = const * k if k == -l else 0
+        rhs = ((coeff, GenSym("c")),) if coeff else ()
+        return (GenSym("a", i, k), GenSym("a", j, l)), rhs
     if row.shape == "ax":
-        lhs = toroidal_bracket(_a(spec, i, k), _x(spec, sign, j, l))
         coeff = -const if sign == "-" else const
-        # a zero constant leaves X(+-a_j, k+l) unbuilt: k+l may be inadmissible
-        return lhs, _x(spec, sign, j, k + l) * coeff if coeff else _zero(spec)
-    lhs = toroidal_bracket(_x(spec, "+", i, k), _x(spec, "-", i, l))
-    p, q = const
-    rhs = _a(spec, i, k + l) * (-p)
-    if k == -l:
-        rhs = rhs + _central_c(spec, -q * k)
-    return lhs, rhs
+        rhs = ((coeff, GenSym(x, j, k + l)),) if coeff else ()
+        return (GenSym("a", i, k), GenSym(x, j, l)), rhs
+    p, q = const  # both positive
+    rhs = ((-q * k, GenSym("c")),) if k and k == -l else ()
+    return (GenSym("x+", i, k), GenSym("x-", i, l)), ((-p, GenSym("a", i, k + l)),) + rhs
+
+
+def word_image(word, spec: AlgebraSpec) -> ToroidalElem:
+    """psi of a word: the image of a generator, or the bracket of the
+    images of the pair's words, an inner bracket taken from `_inner_bracket`."""
+    if type(word) is GenSym:
+        return psi_image(word, spec)
+    u, v = word
+    return toroidal_bracket(
+        psi_image(u, spec) if type(u) is GenSym else _inner_bracket(u, spec),
+        psi_image(v, spec) if type(v) is GenSym else _inner_bracket(v, spec))
+
+
+# Inner brackets kept by word_image; only Serre words have them.  A word has
+# at most 4 brackets (S_ij >= -3) and cases come in `product` order, so between
+# two uses of an inner bracket at most 1 + p others are cached, for pools of p
+# degrees: 32 catches every shared bracket up to p = 31, far past any window a
+# run takes.  Sharing is exact: a kept bracket is what the same brackets give.
+_inner_bracket = lru_cache(maxsize=32)(word_image)
+
+
+def relation_sides(rel: RelationId, spec: AlgebraSpec):
+    """(lhs, rhs): psi applied to `relation_instance`, the image of the
+    word against the sum of the scaled images of the right side."""
+    word, terms = relation_instance(rel, spec)
+    lhs, rhs = word_image(word, spec), None
+    for coeff, gen in terms:
+        image = psi_image(gen, spec) * coeff
+        rhs = image if rhs is None else rhs + image
+    return lhs, _zero(spec) if rhs is None else rhs
 
 
 def evaluate_case(spec: AlgebraSpec, rel: RelationId) -> RelationReport:
@@ -539,7 +540,7 @@ def proof_cases(spec: AlgebraSpec, window: int) -> list:
         row_ok = all(p == alg.scalar(a[0][j]) for p in pairings)
         for k in _degs(spec, 0, window):
             for l in _degs(spec, j, window):
-                lhs = toroidal_bracket(_a(spec, 0, k), _a(spec, j, l))
+                lhs = word_image((GenSym("a", 0, k), GenSym("a", j, l)), spec)
                 mid_coeff = CycNum.zero(r)
                 for t, p in enumerate(pairings):
                     mid_coeff = mid_coeff + p * omega_pow(r, -t * (k + l))

@@ -77,9 +77,9 @@ def test_benchmark_passes_start_without_serre_words(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     run = load_bench_module("bench_run", BENCH / "run.py")
     presentation.verify_all(A5, 1, 2)
-    assert presentation._serre_prefix.cache_info().currsize > 0
-    assert "torlie.presentation._serre_prefix" in run.clear_run_caches()
-    assert presentation._serre_prefix.cache_info().currsize == 0
+    assert presentation._inner_bracket.cache_info().currsize > 0
+    assert "torlie.presentation._inner_bracket" in run.clear_run_caches()
+    assert presentation._inner_bracket.cache_info().currsize == 0
 
 
 def test_benchmark_selftest_passes():

@@ -20,6 +20,7 @@ from torlie.presentation import (
     proof_cases,
     psi_image,
     relation_constant,
+    relation_instance,
     relation_sides,
     serre_exceptions,
     serre_matrix,
@@ -32,6 +33,7 @@ from torlie.toroidal import LoopElem, ToroidalElem, sigma_bar, toroidal_bracket
 A5 = AlgebraSpec("A", 3, 2)
 D4_G = AlgebraSpec("D", 4, 3)
 D3 = AlgebraSpec("D", 2, 2)
+D4_U = AlgebraSpec("D", 3, 1)
 
 
 def all_gens(spec, window):
@@ -506,21 +508,131 @@ def test_equal_specs_hash_equal_and_share_cached_images():
 @pytest.mark.parametrize("spec", [A5, D4_G])
 def test_reports_do_not_depend_on_the_image_cache(spec, monkeypatch):
     psi_image.cache_clear()
-    presentation._serre_prefix.cache_clear()
+    presentation._inner_bracket.cache_clear()
     cold = verify_all(spec, 2, 2)
     assert psi_image.cache_info().currsize > 0
     warm = verify_all(spec, 2, 2)
     assert psi_image.cache_info().hits > 0
     _same_reports(cold, warm)
     monkeypatch.setattr(presentation, "psi_image", psi_image.__wrapped__)
-    presentation._serre_prefix.cache_clear()
+    presentation._inner_bracket.cache_clear()
     _same_reports(cold, verify_all(spec, 2, 2))
     for g in all_gens(spec, 2)[::3]:
         assert psi_image(g, spec) == psi_image.__wrapped__(g, spec)
 
 
 # ---------------------------------------------------------------------------
-# Serre words on shared prefixes
+# relation instances as formal data, and their images
+# ---------------------------------------------------------------------------
+
+def test_formal_instances_pinned():
+    c = GenSym("c")
+
+    def a(i, k):
+        return GenSym("a", i, k)
+
+    def xp(i, k):
+        return GenSym("x+", i, k)
+
+    def xm(i, k):
+        return GenSym("x-", i, k)
+
+    pins = [
+        # aa at k = -l != 0, and at k != -l
+        (A5, ("2", (1,), "", (2, -2)), (a(0, 2), a(1, -2)), ((-4, c),)),
+        (A5, ("2", (1,), "", (2, 0)), (a(0, 2), a(1, 0)), ()),
+        # ax with a nonzero constant, and with a zero one
+        (A5, ("6", (1,), "-", (2, 1)), (a(0, 2), xm(1, 1)), ((1, xm(1, 3)),)),
+        (A5, ("6", (2,), "+", (0, -1)), (a(0, 0), xp(2, -1)), ()),
+        (A5, ("12", (1,), "+", (1, -1)), (xp(1, 1), xp(1, -1)), ()),
+        # xy at i != j, at i = j with k = -l != 0, and at k = l = 0
+        (A5, ("13", (0, 1), "", (0, 1)), (xp(0, 0), xm(1, 1)), ()),
+        (A5, ("13", (0, 0), "", (2, -2)), (xp(0, 2), xm(0, -2)), ((-1, a(0, 0)), (-2, c))),
+        (A5, ("13", (0, 0), "", (0, 0)), (xp(0, 0), xm(0, 0)), ((-1, a(0, 0)),)),
+        (A5, ("15", (0, 1), "+", (0, 2, -2)), (xp(0, -2), (xp(0, 2), xp(1, 0))), ()),
+        # on D4 r=3, family 2 at k = -l has a zero constant
+        (D4_G, ("3", (1, 1), "", (1, -1)), (a(1, 1), a(1, -1)), ((6, c),)),
+        (D4_G, ("2", (1,), "", (-3, 3)), (a(0, -3), a(1, 3)), ()),
+        (D4_G, ("8", (1, 1), "+", (1, 1)), (a(1, 1), xp(1, 1)), ((2, xp(1, 2)),)),
+        (D4_G, ("6", (1,), "-", (3, 0)), (a(0, 3), xm(1, 0)), ()),
+        (D4_G, ("12", (1,), "-", (0, 1)), (xm(1, 0), xm(1, 1)), ()),
+        (D4_G, ("13", (1, 2), "", (0, 3)), (xp(1, 0), xm(2, 3)), ()),
+        (D4_G, ("13", (2, 2), "", (3, -3)), (xp(2, 3), xm(2, -3)), ((-3, a(2, 0)), (-27, c))),
+        (D4_G, ("13", (1, 1), "", (0, 0)), (xp(1, 0), xm(1, 0)), ((-1, a(1, 0)),)),
+        (D4_G, ("17", (1, 2), "-", (0, 1, -1, 0, 1)),
+         (xm(1, 1), (xm(1, 0), (xm(1, -1), (xm(1, 1), xm(2, 0))))), ()),
+        # the untwisted presentation, with the c shape
+        (D4_U, ("U1", (1,), "", (2,)), (c, a(1, 2)), ()),
+        (D4_U, ("U1", (0,), "-", (-1,)), (c, xm(0, -1)), ()),
+        (D4_U, ("U2", (1, 2), "", (1, -1)), (a(1, 1), a(2, -1)), ((-1, c),)),
+        (D4_U, ("U3", (1, 0), "+", (1, 1)), (a(1, 1), xp(0, 1)), ()),
+        (D4_U, ("U4", (0, 0), "", (1, -1)), (xp(0, 1), xm(0, -1)), ((-1, a(0, 0)), (-1, c))),
+        (D4_U, ("U5", (2,), "-", (0, 1)), (xm(2, 0), xm(2, 1)), ()),
+        (D4_U, ("U6", (1, 2), "+", (0, 1, 1)), (xp(1, 1), (xp(1, 1), xp(2, 0))), ()),
+    ]
+    shapes = set()
+    for spec, case, word, rhs in pins:
+        rel = RelationId(*case)
+        assert rel in enumerate_cases(spec, rel.family, 3, 3), rel
+        assert relation_instance(rel, spec) == (word, rhs), rel
+        shapes.add(presentation.CATALOG[rel.family].shape)
+    assert shapes == {"aa", "ax", "xx", "xy", "serre", "c"}
+    # a zero coefficient never stays in a right side
+    for spec in TWISTED_SPECS + UNTWISTED_SPECS:
+        for family in families_for(spec):
+            for rel in enumerate_cases(spec, family, 1, 2):
+                assert all(coeff for coeff, _ in relation_instance(rel, spec)[1]), rel
+
+
+def _plain_image(word, spec):
+    """psi of a word by plain recursion on uncached images, no memo."""
+    if type(word) is GenSym:
+        return psi_image.__wrapped__(word, spec)
+    return toroidal_bracket(*(_plain_image(w, spec) for w in word))
+
+
+ORACLE_RUNS = [(spec, 1, 2) for spec in TWISTED_SPECS + UNTWISTED_SPECS] + [(D4_G, 3, 3)]
+
+
+def _oracle_id(v):
+    return f"{v.name} r={v.r}" if hasattr(v, "r") else str(v)
+
+
+@pytest.mark.parametrize("spec, window, serre_cap", ORACLE_RUNS, ids=_oracle_id)
+def test_relation_sides_are_psi_of_the_formal_instance(spec, window, serre_cap):
+    # every case at window 1, and the deep Serre words of D4 r=3 at (3, 3)
+    presentation._inner_bracket.cache_clear()
+    cases = (_serre_cases(spec, window, serre_cap) if window > 1 else
+             [rel for family in families_for(spec)
+              for rel in enumerate_cases(spec, family, window, serre_cap)])
+    zero = ToroidalElem.zero(get_algebra(spec))
+    for rel in cases:
+        word, terms = relation_instance(rel, spec)
+        lhs, rhs = relation_sides(rel, spec)
+        assert lhs == _plain_image(word, spec), rel
+        assert rhs == sum((_plain_image(gen, spec) * coeff for coeff, gen in terms), zero), rel
+    assert cases
+
+
+def test_verify_sweep_bracket_count_is_pinned(monkeypatch):
+    # the inner-bracket cache shares every shared Serre bracket: from a
+    # cleared cache, window 1 on the seven algebras takes 5,843 brackets
+    calls = []
+    bracket = presentation.toroidal_bracket
+
+    def counted(x, y):
+        calls.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(presentation, "toroidal_bracket", counted)
+    presentation._inner_bracket.cache_clear()
+    for spec in TWISTED_SPECS + UNTWISTED_SPECS:
+        verify_all(spec, 1, 2)
+    assert len(calls) == 5843
+
+
+# ---------------------------------------------------------------------------
+# Serre words on shared inner brackets
 # ---------------------------------------------------------------------------
 
 def _serre_cases(spec, window, serre_cap):
@@ -540,24 +652,26 @@ def _nested_words(spec, rel) -> list:
     return words
 
 
-@pytest.mark.parametrize("spec, window, serre_cap",
-                         [(spec, 1, 2) for spec in TWISTED_SPECS + UNTWISTED_SPECS]
-                         + [(D4_G, 3, 3)],
-                         ids=lambda v: f"{v.name} r={v.r}" if hasattr(v, "r") else str(v))
+@pytest.mark.parametrize("spec, window, serre_cap", ORACLE_RUNS, ids=_oracle_id)
 def test_serre_words_match_nested_brackets(spec, window, serre_cap):
-    presentation._serre_prefix.cache_clear()
+    memo = presentation._inner_bracket
+    memo.cache_clear()
     cases = _serre_cases(spec, window, serre_cap)
     nonzero_prefixes = 0
     for rel in cases:
         want = _nested_words(spec, rel)
         lhs, rhs = relation_sides(rel, spec)
         assert lhs == want[-1] and rhs.is_zero()
-        # the prefixes the case was built on, as the cache now holds them
-        for length, word in enumerate(want[:-1], 1):
-            got = presentation._serre_prefix(spec, rel.sign, *rel.indices,
-                                             rel.degrees[:length])
-            assert got == word
-            nonzero_prefixes += bool(word)
+        # the inner brackets the case was built on, as the cache now holds them
+        word, terms = relation_instance(rel, spec)
+        assert terms == ()
+        hits = memo.cache_info().hits
+        for prefix in want[-2:0:-1]:
+            word = word[1]
+            assert memo(word, spec) == prefix
+            nonzero_prefixes += bool(prefix)
+        assert memo.cache_info().hits == hits + len(want) - 2
+        assert word[1] == GenSym("x" + rel.sign, rel.indices[1], rel.degrees[0])
     assert cases and nonzero_prefixes > len(cases) // 2
     if serre_cap == 3:
         assert max(len(rel.degrees) for rel in cases) == 5
@@ -572,7 +686,7 @@ def test_serre_words_bracket_each_shared_prefix_once(monkeypatch):
         return bracket(x, y)
 
     monkeypatch.setattr(presentation, "toroidal_bracket", counted)
-    presentation._serre_prefix.cache_clear()
+    presentation._inner_bracket.cache_clear()
     cases = _serre_cases(D4_G, 3, 3)
     for rel in cases:
         relation_sides(rel, D4_G)
@@ -581,9 +695,14 @@ def test_serre_words_bracket_each_shared_prefix_once(monkeypatch):
     assert len(calls) == len(words) < sum(len(rel.degrees) - 1 for rel in cases)
 
 
-def test_serre_prefix_cache_is_bounded_and_clearable():
-    cache = presentation._serre_prefix
-    assert cache.cache_info().maxsize == presentation.SERRE_PREFIXES_KEPT <= 64
+def test_inner_bracket_cache_is_bounded_and_clearable():
+    cache = presentation._inner_bracket
+    assert cache.cache_info().maxsize == 32
+    # the one bounded cache of the module; the others are keyed by set-up data
+    bounded = [name for name, value in vars(presentation).items()
+               if hasattr(value, "cache_info") and value.__module__ == presentation.__name__
+               and value.cache_info().maxsize is not None]
+    assert bounded == ["_inner_bracket"]
     cache.cache_clear()
     verify_all(D4_G, 2, 2)
     info = cache.cache_info()
