@@ -479,8 +479,8 @@ def times(coords, f: int) -> dict:
 class AlgebraTerms(SparseTerms):
     """SparseTerms bound to one algebra, whose scalars they take: a
     coefficient of another cyclotomic order is refused when built.
-    `_graded` keeps a loop element's degree grouping once computed
-    (`toroidal._by_degree`)."""
+    `_graded` keeps a loop element's grouping by basis index once computed
+    (`toroidal._by_basis`)."""
 
     __slots__ = ("alg", "_graded")
 

@@ -172,7 +172,7 @@ class LieAlgebra:
             for root in self.roots
         )
         self._rows = self._build_bracket_rows()
-        self._form = self._build_form_table()
+        self._form_rows = self._build_form_rows()
         self._sigma = self._build_sigma_table()
         self._theta = self._build_theta_triple()
 
@@ -283,10 +283,10 @@ class LieAlgebra:
         """The bracket of the coordinate maps xs and ys (b -> (a, b), the
         coordinates of a + b w), as a fresh coordinate map without zeros.
 
-        This is the one loop over structure constants.  It reads the
-        table by row, so a pair of terms with no entry costs one dict
-        miss, and takes the w-product only where a b coordinate is
-        nonzero.
+        This is the loop over structure constants for vectors of g; the
+        loop bracket has its own (`graded_terms`).  It reads the table by
+        row, so a pair of terms with no entry costs one dict miss, and
+        takes the w-product only where a b coordinate is nonzero.
         """
         rows = self._rows
         ys = ys.items()
@@ -317,14 +317,14 @@ class LieAlgebra:
         rows = self._rows
         return frozenset().union(*(rows[b] for b in xs))
 
-    def _build_form_table(self):
-        # (h_i|h_j) = A'_ij, (e_a|e_-a) = 1, every other pair 0 (absent)
+    def _build_form_rows(self):
+        """The invariant form by row: form_rows[b1] = {b2: (b1|b2)} over
+        the b2 with (b1|b2) != 0, which are (h_i|h_j) = A'_ij and
+        (e_a|e_-a) = 1."""
         A = self.cartan.A_prime
         N = self.N
-        table = {(i, j): A[i][j] for i in range(N) for j in range(N) if A[i][j]}
-        for ri, rj in enumerate(self._neg):
-            table[(N + ri, N + rj)] = 1
-        return table
+        rows = tuple({j: A[i][j] for j in range(N) if A[i][j]} for i in range(N))
+        return rows + tuple({N + rj: 1} for rj in self._neg)
 
     def form(self, x: LieElem, y: LieElem) -> CycNum:
         if x.alg is not self or y.alg is not self:
@@ -335,22 +335,47 @@ class LieAlgebra:
 
     def form_terms(self, xs, ys) -> tuple:
         """The invariant form of the coordinate maps xs and ys, as the
-        coordinates (a, b) of a + b w."""
-        table = self._form
+        coordinates (a, b) of a + b w: their degree-0 pairing in the one
+        loop over form entries (`graded_terms`), whose bracket is dropped."""
+        xs, ys = ({b: ((0, 0, a, w),) for b, (a, w) in cs.items()} for cs in (xs, ys))
+        return self.graded_terms(xs, ys)[1].get((0, 0, 0, 0), (0, 0))
+
+    def graded_terms(self, xs, ys) -> tuple:
+        """(coords, pairings) of two loop elements grouped by basis index,
+        b -> [(j, m, p, q), ...] for the terms (p + q w) b s^j t^m: the
+        bracket, (b3, j, m) -> coordinates, and the form summed per degree
+        pair, (j1, m1, j2, m2) -> coordinates, zeros kept in both.  Each
+        pair of basis indices reads its structure-constant entry and its
+        pairing once, by row."""
+        rows, form_rows = self._rows, self._form_rows
         ys = ys.items()
-        ta = tb = 0
-        for b1, (a1, w1) in xs.items():
-            for b2, (a2, w2) in ys:
-                pairing = table.get((b1, b2))
-                if pairing is None:
+        acc, pairings = {}, {}
+        for b1, terms1 in xs.items():
+            row, form_row = rows[b1], form_rows[b1]
+            for b2, terms2 in ys:
+                entry = row.get(b2)
+                pairing = form_row.get(b2)
+                if entry is None and pairing is None:
                     continue
-                if w1 or w2:
-                    pa, pb = omega_product(a1, w1, a2, w2)
-                    ta += pa * pairing
-                    tb += pb * pairing
-                else:
-                    ta += a1 * a2 * pairing
-        return ta, tb
+                for j1, m1, a1, w1 in terms1:
+                    for j2, m2, a2, w2 in terms2:
+                        if w1 or w2:
+                            pa, pb = omega_product(a1, w1, a2, w2)
+                        else:
+                            pa, pb = a1 * a2, 0
+                        if entry is not None:
+                            j, m = j1 + j2, m1 + m2
+                            for b3, k in entry:
+                                key = (b3, j, m)
+                                s = acc.get(key)
+                                acc[key] = ((pa * k, pb * k) if s is None
+                                            else (s[0] + pa * k, s[1] + pb * k))
+                        if pairing is not None:
+                            key = (j1, m1, j2, m2)
+                            s = pairings.get(key)
+                            pairings[key] = ((pa * pairing, pb * pairing) if s is None
+                                             else (s[0] + pa * pairing, s[1] + pb * pairing))
+        return acc, pairings
 
     # -- diagram automorphism --------------------------------------------
 

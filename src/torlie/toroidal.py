@@ -9,11 +9,11 @@ differentials.  The bracket
     [x (x) s^j t^m, y (x) s^k t^l]
         = [x,y] (x) s^(j+k) t^(m+l)  +  (x|y) * class of (s^k t^l) d(s^j t^m)
 
-annihilates central terms.  For each pair of degree components of the
-operands it is g's bracket (`LieAlgebra.bracket_terms`) moved to the
-summed degree, plus g's form (`LieAlgebra.form_terms`) times one
-Kahler class (`reduce_b_da`); this module has no loop over structure
-constants or form entries of its own.
+annihilates central terms.  It takes one pass over pairs of terms
+(`LieAlgebra.graded_terms`): g's structure constants at the summed
+degree, and g's form summed per pair of degrees, each nonzero sum then
+times one Kahler class (`reduce_b_da`); this module has no loop over
+structure constants or form entries of its own.
 
 Elements tagged as twisted are validated eagerly: the loop terms must
 be fixed by the twisted automorphism and every central symbol must have
@@ -26,8 +26,8 @@ the result over dx*dy*e, where e clears the Kahler classes; both the
 bracket and the cocycle are bilinear, so that is [x, y] exactly.  It is
 made canonical by one gcd, and the fixedness check runs on that result:
 the twisted automorphism is linear, so the common denominator plays no
-part in it.  Each operand groups its loop coordinates by degree once
-(`_by_degree`) and keeps the grouping.
+part in it.  Each operand groups its loop coordinates by basis index
+once (`_by_basis`) and keeps the grouping.
 """
 
 from __future__ import annotations
@@ -71,49 +71,42 @@ class LoopElem(AlgebraTerms):
         return (j, m, b)
 
 
-def _by_degree(x) -> dict:
-    """The loop coordinates of x grouped by degree, (j, m) -> {b: (a, b)},
-    central KSym keys left out; computed once per element and kept."""
+def _by_basis(x) -> dict:
+    """The loop coordinates of x grouped by basis index,
+    b -> [(j, m, a, w), ...], central KSym keys left out; computed once
+    per element and kept."""
     try:
         return x._graded
     except AttributeError:
         pass
     out: dict = {}
-    for key, ab in x.coords.items():
+    for key, (a, w) in x.coords.items():
         if type(key) is tuple:
             b, j, m = key
-            out.setdefault((j, m), {})[b] = ab
+            out.setdefault(b, []).append((j, m, a, w))
     object.__setattr__(x, "_graded", out)
     return out
 
 
 def _bracket_coords(x, y, cocycle: bool) -> tuple:
     """Canonical (coords, den) of the bracket of the loop terms of x and
-    y, one pair of degree components at a time: g's bracket of the two
-    numerators moved to the summed degree and, when `cocycle` is set,
-    g's form times one Kahler class.
+    y, in one pass over pairs of terms (`LieAlgebra.graded_terms`): g's
+    bracket of the two numerators at the summed degree and, when
+    `cocycle` is set, each nonzero form sum of a pair of degrees times
+    one Kahler class.
 
     The numerators are brackets of ints, so the result is over
     dx*dy*e, where e is the lcm of the denominators of the Kahler
     classes that meet a nonzero pairing; it is made canonical by one gcd.
     """
     alg = x.alg
-    r = alg.spec.r
-    acc: dict = {}
-    classes = []  # (pa, pb, class): central terms, before e is known
-    ys = _by_degree(y).items()
-    for (j1, m1), comp1 in _by_degree(x).items():
-        for (j2, m2), comp2 in ys:
-            j, m = j1 + j2, m1 + m2
-            for b, (a, w) in alg.bracket_terms(comp1, comp2).items():
-                key = (b, j, m)
-                s = acc.get(key)
-                acc[key] = (a, w) if s is None else (s[0] + a, s[1] + w)
-            if cocycle:
-                pa, pb = alg.form_terms(comp1, comp2)
-                if pa or pb:
-                    classes.append((pa, pb, reduce_b_da((j2, m2), (j1, m1), r)))
+    acc, pairings = alg.graded_terms(_by_basis(x), _by_basis(y))
     den = x.den * y.den
+    r = alg.spec.r
+    # (pa, pb, class): central terms, before e is known
+    classes = [(pa, pb, reduce_b_da((j2, m2), (j1, m1), r))
+               for (j1, m1, j2, m2), (pa, pb) in (pairings.items() if cocycle else ())
+               if pa or pb]
     if classes:
         e = lcm(*(cls.den for _, _, cls in classes))
         if e != 1:

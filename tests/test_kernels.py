@@ -1,12 +1,14 @@
 """The coordinate kernels against a slow reference on CycNum arithmetic.
 
-`LieAlgebra.bracket_terms` multiplies raw coordinates and builds one
-CycNum per output term; `loop_bracket` and `toroidal_bracket` call it,
-and `form_terms` times one Kahler class for the cocycle, once per pair
-of degree components.  Here every output is recomputed pair of terms by
-pair of terms on CycNum objects, with a product expanded by hand
-(`ref_mul`) and CycNum addition, and must agree exactly; every output
-coefficient must also be canonical.
+`LieAlgebra.bracket_terms` brackets two coordinate maps over the basis
+of g.  `loop_bracket` and `toroidal_bracket` make one pass over pairs of
+terms grouped by basis index (`LieAlgebra.graded_terms`): the structure
+constants at the summed degree and, for the cocycle, the form summed
+per pair of degrees times one Kahler class.  Here every output is
+recomputed pair of terms by pair of terms on CycNum objects, with a
+product expanded by hand (`ref_mul`), CycNum addition and tables rebuilt
+from the root data, and must agree exactly; every output coefficient
+must also be canonical.
 """
 
 from fractions import Fraction
@@ -16,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_table
-from torlie import AlgebraSpec, get_algebra
+from torlie import AlgebraSpec, get_algebra, toroidal
 from torlie.coeff import CycNum
 from torlie.kahler import Bt, C0, KahlerElem, reduce_b_da
 from torlie.liealg import LieElem
-from torlie.toroidal import LoopElem, ToroidalElem, loop_bracket, toroidal_bracket
+from torlie.rootdata import build_cartan, enumerate_roots
+from torlie.toroidal import LoopElem, ToroidalElem, _by_basis, loop_bracket, toroidal_bracket
 
 SPECS = [
     AlgebraSpec("A", 3, 2),   # A5, r = 2
@@ -116,13 +119,27 @@ def ref_loop_bracket(alg, x, y):
     return _nonzero(terms)
 
 
+def ref_form(spec):
+    """(b1, b2) -> (b1|b2), rebuilt from the Cartan matrix and the root
+    list, so that it shares no table with the form kernels:
+    (h_i|h_j) = A'_ij, (e_a|e_-a) = 1 and every other pair 0 (absent)."""
+    A = build_cartan(spec).A_prime
+    roots = enumerate_roots(spec)
+    N = len(A)
+    table = {(i, j): A[i][j] for i in range(N) for j in range(N) if A[i][j]}
+    for ri, root in enumerate(roots):
+        table[(N + ri, N + roots.index(tuple(-c for c in root)))] = 1
+    return table
+
+
 def ref_cocycle(alg, x, y):
     """(x|y) times the class of y's monomial times d(x's), summed over pairs."""
     r = alg.spec.r
+    form = ref_form(alg.spec)
     terms = {}
     for (b1, j1, m1), c1 in x.items():
         for (b2, j2, m2), c2 in y.items():
-            pairing = alg._form.get((b1, b2))
+            pairing = form.get((b1, b2))
             if pairing is None:
                 continue
             c = ref_mul(ref_mul(c1, c2), CycNum(r, pairing))
@@ -167,6 +184,52 @@ def test_toroidal_bracket_matches_cycnum_reference(spec, data):
     # central inputs die; loop keys and central symbols never collide
     assert out.terms == {**ref_loop_bracket(alg, x, y), **ref_cocycle(alg, x, y)}
     assert_canonical(out.terms, spec.r)
+
+
+@pytest.mark.parametrize("spec", SPECS[:2], ids=lambda spec: spec.name)
+def test_repeated_basis_indices_and_a_cancelling_form_sum(spec, monkeypatch):
+    # each operand holds one basis index at several degrees, and at the
+    # degree pair (0, 1, 1, 0) the pairings cancel: (e_1|f_1) c c +
+    # (e_2|f_2) c (-c) = 0, so that pair makes no Kahler class
+    alg = get_algebra(spec)
+    r = spec.r
+    c = CycNum(r, Fraction(2, 3), 1 if r == 3 else 0)
+    e1, e2, f1, f2 = (next(iter(v.coords)) for v in (alg.e(1), alg.e(2), alg.f(1), alg.f(2)))
+    x = {(e1, 0, 1): c, (e2, 0, 1): c, (e1, 1, 0): CycNum(r, 3), (e1, -1, 2): c,
+         (0, 1, 1): CycNum(r, 1), (0, 2, -1): c}
+    y = {(f1, 1, 0): c, (f2, 1, 0): -c, (f1, 0, -1): CycNum(r, 2), (e2, 1, 0): c,
+         (0, 0, 1): c, (0, -1, 1): CycNum(r, Fraction(-1, 2))}
+    X, Y = (ToroidalElem(LoopElem(alg, dict(z))) for z in (x, y))
+    for z in (X, Y):
+        assert max(len(terms) for terms in _by_basis(z).values()) >= 2
+
+    form = ref_form(spec)
+    sums = {}
+    for (b1, j1, m1), c1 in x.items():
+        for (b2, j2, m2), c2 in y.items():
+            if (b1, b2) in form:
+                _accumulate(sums, ((j2, m2), (j1, m1)),
+                            ref_mul(ref_mul(c1, c2), CycNum(r, form[(b1, b2)])))
+    assert not sums[((1, 0), (0, 1))] and len(_nonzero(sums)) >= 3
+
+    classes = []
+    reduce = toroidal.reduce_b_da
+
+    def recording(b, a, order=1):
+        classes.append((b, a))
+        return reduce(b, a, order)
+
+    monkeypatch.setattr(toroidal, "reduce_b_da", recording)
+    out = toroidal_bracket(X, Y)
+    assert out.terms == {**ref_loop_bracket(alg, x, y), **ref_cocycle(alg, x, y)}
+    assert_canonical(out.terms, r)
+    # one class per degree pair with a nonzero form sum, and none for the
+    # cancelling pair, whose class is not zero
+    assert sorted(classes) == sorted(_nonzero(sums))
+    assert reduce_b_da((1, 0), (0, 1), r)
+    got = loop_bracket(X, Y).terms
+    assert got == ref_loop_bracket(alg, x, y)
+    assert_canonical(got, r)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

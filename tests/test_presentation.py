@@ -398,7 +398,7 @@ def test_derived_constants_build_no_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a relation constant used the algebra")
 
-    for method in ("bracket", "bracket_terms", "form", "form_terms"):
+    for method in ("bracket", "bracket_terms", "form", "form_terms", "graded_terms"):
         monkeypatch.setattr(liealg.LieAlgebra, method, refuse)
     for owner in (liealg, presentation):
         monkeypatch.setattr(owner, "get_algebra", refuse)
@@ -616,19 +616,31 @@ def test_relation_sides_are_psi_of_the_formal_instance(spec, window, serre_cap):
 
 def test_verify_sweep_bracket_count_is_pinned(monkeypatch):
     # the inner-bracket cache shares every shared Serre bracket: from a
-    # cleared cache, window 1 on the seven algebras takes 5,843 brackets
+    # cleared cache, window 1 on the seven algebras takes 5,843 brackets,
+    # and they make one Kahler class per nonzero form sum of a degree
+    # pair, 435 in all
+    from torlie import toroidal
+
     calls = []
+    classes = []
     bracket = presentation.toroidal_bracket
+    reduce_b_da = toroidal.reduce_b_da
 
     def counted(x, y):
         calls.append(1)
         return bracket(x, y)
 
+    def counted_class(*args):
+        classes.append(args)
+        return reduce_b_da(*args)
+
     monkeypatch.setattr(presentation, "toroidal_bracket", counted)
+    monkeypatch.setattr(toroidal, "reduce_b_da", counted_class)
     presentation._inner_bracket.cache_clear()
     for spec in TWISTED_SPECS + UNTWISTED_SPECS:
         verify_all(spec, 1, 2)
     assert len(calls) == 5843
+    assert len(classes) == 435
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from torlie.rootdata import build_cartan, enumerate_roots
 from torlie.toroidal import (
     LoopElem,
     ToroidalElem,
-    _by_degree,
+    _by_basis,
     _sigma_coords,
     fix_project,
     loop_bracket,
@@ -179,6 +179,29 @@ def test_form_and_cocycle_match_the_cartan_matrix(spec):
                 alg.form(x, y))
 
 
+@pytest.mark.parametrize("spec", [A5, D4_TRIALITY], ids=lambda s: s.name)
+def test_brackets_call_no_kernel_per_pair_of_degree_components(spec, monkeypatch):
+    # the loop and extended brackets make one pass over pairs of terms
+    # (`LieAlgebra.graded_terms`): on operands of several degree
+    # components they call neither g's bracket kernel nor its form kernel
+    alg = get_algebra(spec)
+    rng = random.Random(5 + spec.N + spec.r)
+    pairs = [(rand_fixed(alg, rng), rand_fixed(alg, rng)) for _ in range(12)]
+    pairs = [(x, y) for x, y in pairs
+             if all(len({(j, m) for _, j, m in z.loop.coords}) > 1 for z in (x, y))]
+    assert len(pairs) >= 6
+    wants = [(toroidal_bracket(x, y), loop_bracket(x, y)) for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a bracket called a kernel of g")
+
+    for method in ("bracket_terms", "form_terms"):
+        monkeypatch.setattr(type(alg), method, refuse)
+    for (x, y), (want, want_loop) in zip(pairs, wants):
+        assert toroidal_bracket(x, y) == want and loop_bracket(x, y) == want_loop
+    assert any(want.central for want, _ in wants)
+
+
 def _coordinates(x):
     return [v for c in x.terms.values() for v in (c.a, c.b)]
 
@@ -336,17 +359,19 @@ def test_elements_stay_canonical_and_immutable(spec):
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
 
-    # a cached image keeps its render after its terms and its degree
+    # a cached image keeps its render after its terms and its basis-index
     # grouping are read and after it served as an operand
     image = psi_image(GenSym("x+", 1, 1), spec)
     before = image.render()
     coords, den = dict(image.coords), image.den
-    assert image.terms and _by_degree(image)
+    grouping = _by_basis(image)
+    assert image.terms and grouping
     other = psi_image(GenSym("x-", 1, 0), spec)
     for _ in range(2):
         toroidal_bracket(image, other), toroidal_bracket(other, image)
         image + other, image - other, -image, image.scale(3), image.divided(2)
-    assert _by_degree(image) is _by_degree(image)
+    # the grouping by basis index is computed once and shared
+    assert _by_basis(image) is _by_basis(image) is grouping
     assert image.render() == before and psi_image(GenSym("x+", 1, 1), spec) is image
     assert dict(image.coords) == coords and image.den == den
 
