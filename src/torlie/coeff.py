@@ -17,7 +17,7 @@ Elements of the algebras (`SparseTerms`) store no CycNum: an element
 is integer coordinates key -> (a, b) over one positive int
 denominator, in a canonical form that makes equality a comparison of
 ints.  Sums, multiples, the Lie bracket and form (which take such
-coordinate maps, `LieAlgebra.bracket_terms` and `form_terms`),
+coordinate maps, `LieAlgebra.bracket_terms` and `graded_terms`),
 echelon reduction and the twisted automorphism all run on ints; a
 CycNum per term is built only when an element's `terms` are read, as
 a render does.

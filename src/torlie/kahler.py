@@ -53,7 +53,8 @@ def Bt(j: int) -> KSym:
 
 
 class KahlerElem(SparseTerms):
-    """Sparse combination of basis symbols with CycNum coefficients."""
+    """Sparse combination of basis symbols, held as integer coordinates
+    over one denominator (`SparseTerms`)."""
 
     __slots__ = ()
 

@@ -32,6 +32,7 @@ once (`_by_basis`) and keeps the grouping.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 
@@ -101,6 +102,8 @@ def _bracket_coords(x, y, cocycle: bool) -> tuple:
     """
     alg = x.alg
     acc, pairings = alg.graded_terms(_by_basis(x), _by_basis(y))
+    if not (acc or pairings):  # no structure constant or pairing met
+        return acc, 1
     den = x.den * y.den
     r = alg.spec.r
     # (pa, pb, class): central terms, before e is known
@@ -168,19 +171,31 @@ def sigma_bar(x: LoopElem) -> LoopElem:
     return LoopElem._of(alg, out, x.den)
 
 
+def _orbit_coords(x: LoopElem, count: int) -> dict:
+    """The numerators of sum over u < count of sigma_bar^u(x), over x's
+    den, zeros kept: one pass over the terms of x, each rotated count - 1
+    times through `_sigma_coords`."""
+    alg = x.alg
+    r = alg.spec.r
+    sigma = alg._sigma
+    acc = dict(x.coords)
+    for key, (a, b) in x.coords.items():
+        for _ in range(count - 1):
+            key, a, b = _sigma_coords(sigma, r, key, a, b)
+            s = acc.get(key)
+            acc[key] = (a, b) if s is None else (s[0] + a, s[1] + b)
+    return acc
+
+
 def orbit_sum(x: LoopElem, count: int) -> LoopElem:
     """sum over u < count of sigma_bar^u(x)."""
-    acc = cur = x
-    for _ in range(count - 1):
-        cur = sigma_bar(cur)
-        acc = acc + cur
-    return acc
+    return LoopElem._of(x.alg, *canonical(_orbit_coords(x, count), x.den))
 
 
 def fix_project(x: LoopElem) -> LoopElem:
     """Average over the twisted automorphism; idempotent projection."""
     r = x.alg.spec.r
-    return orbit_sum(x, r).divided(r)
+    return LoopElem._of(x.alg, *canonical(_orbit_coords(x, r), x.den * r))
 
 
 class ToroidalElem(AlgebraTerms):
@@ -229,7 +244,8 @@ class ToroidalElem(AlgebraTerms):
 
     @classmethod
     def zero(cls, alg: LieAlgebra) -> "ToroidalElem":
-        return cls(LoopElem.zero(alg), twisted=True)
+        """The shared twisted zero of `alg` (`_zero`)."""
+        return _zero(alg, True)
 
     def _part(self, loop: bool) -> tuple:
         """Canonical (coords, den) of the loop or the central terms."""
@@ -284,16 +300,29 @@ class ToroidalElem(AlgebraTerms):
 _set_twisted = ToroidalElem.twisted.__set__
 
 
+@lru_cache(maxsize=None)
+def _zero(alg: LieAlgebra, twisted: bool) -> ToroidalElem:
+    """The zero of `alg` with the given flag, built once through the
+    validating constructor and then shared: elements are immutable."""
+    return ToroidalElem(LoopElem.zero(alg), twisted=twisted)
+
+
 def toroidal_bracket(x: ToroidalElem, y: ToroidalElem) -> ToroidalElem:
     """Bracket with the differential 2-cocycle; central inputs die.
 
     The two numerators are bracketed on ints (`_bracket_coords`), and
     the canonical result is checked once when both operands are
     twisted.  That check is exact on the result itself, since the
-    twisted automorphism is linear and so ignores the common den.
+    twisted automorphism is linear and so ignores the common den.  A
+    bracket without terms, most of them in a relation check, is the
+    shared zero (`_zero`): an empty map has nothing to check.
     """
     x._check(y)
-    out = ToroidalElem._of(x.alg, *_bracket_coords(x, y, True), x.twisted and y.twisted)
-    if out.twisted:
+    coords, den = _bracket_coords(x, y, True)
+    twisted = x.twisted and y.twisted
+    if not coords:
+        return _zero(x.alg, twisted)
+    out = ToroidalElem._of(x.alg, coords, den, twisted)
+    if twisted:
         out.validate_twisted()
     return out

@@ -68,6 +68,39 @@ def test_verify_relation_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_inadmissible_right_side_fails_the_case(capsys, monkeypatch):
+    # the ax constant of family 7 at nodes (1, 0) and odd k is 0, where the
+    # right side's X(+-a_0, k + l) has an odd, inadmissible degree; raised
+    # to 1, the right side names a generator outside the algebra
+    from torlie import AlgebraSpec, presentation
+
+    true_constant = presentation.relation_constant
+
+    def mutated(spec, shape, i, j, e):
+        if (shape, i, j, e) == ("ax", 1, 0, 1):
+            return 1
+        return true_constant(spec, shape, i, j, e)
+
+    monkeypatch.setattr(presentation, "relation_constant", mutated)
+    summary = presentation.verify_all(AlgebraSpec("A", 3, 2), 1)
+    assert not summary.passed
+    failures = {fr.family: fr.failures for fr in summary.families if fr.failures}
+    assert list(failures) == ["7"]
+    assert {rep.rel.degrees for rep in failures["7"]} == {(-1, 0), (1, 0)}
+    for rep in failures["7"]:
+        assert rep.rel.indices == (1,)
+        assert rep.diff_text == (
+            f"right side has no image: degree {sum(rep.rel.degrees)} is not "
+            "admissible for index 0 of A5 (step 2)")
+
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--n", "3", "--r", "2", "--window", "1",
+    )
+    assert code == 1 and err == ""
+    assert "FAIL family 7 [1](-1,0) sign +: FAIL  diff = right side has no image" in out
+    assert out.endswith("result: FAIL\n")
+
+
 def test_verify_internal_error_exit_code(capsys, monkeypatch):
     # cmd_verify calls the name bound in cli
     def broken(*args, **kwargs):

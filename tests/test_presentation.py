@@ -119,6 +119,37 @@ def test_images_are_fixed_and_match_pibar(spec):
             assert img.central.is_zero()
 
 
+def _lie_image(gen, spec):
+    """psi_image built through LieElem and CycNum: v = h, e or -f as a
+    LieElem (the theta-triple at i = 0), its orbit sum taken one
+    sigma_bar and one sum at a time, and the class of s^k t^-1 dt as a
+    KahlerElem."""
+    alg = get_algebra(spec)
+    r = spec.r
+    if gen.kind == "c":
+        return ToroidalElem(LoopElem.zero(alg), KahlerElem({C0: CycNum.one(r)}), twisted=True)
+    i, k = gen.i, gen.k
+    e, f, h = alg.theta_triple() if i == 0 else (alg.e(i), alg.f(i), alg.h(i))
+    t = 1 if i == 0 else 0
+    v, m = {"a": (h, 0), "x+": (e, t), "x-": (-f, -t)}[gen.kind]
+    loop = acc = LoopElem.from_lie(v, k, m)
+    for _ in range(0 if i == 0 else r - 1):
+        loop = sigma_bar(loop)
+        acc = acc + loop
+    central = KahlerElem({Bt(k): CycNum.one(r)}) if i == 0 and gen.kind == "a" else None
+    return ToroidalElem(acc, central, twisted=True)
+
+
+@pytest.mark.parametrize("spec", TWISTED_SPECS + UNTWISTED_SPECS + [AlgebraSpec("A", 6, 2)],
+                         ids=lambda s: f"{s.name} r={s.r}")
+def test_images_match_the_lie_element_construction(spec):
+    gens = all_gens(spec, 3)
+    for gen in gens:
+        got, want = psi_image(gen, spec), _lie_image(gen, spec)
+        assert (got.coords, got.den, got.twisted) == (want.coords, want.den, want.twisted), gen
+    assert {gen.kind for gen in gens} == {"c", "a", "x+", "x-"}
+
+
 # ---------------------------------------------------------------------------
 # relation sides, pinned cases
 # ---------------------------------------------------------------------------
@@ -641,6 +672,39 @@ def test_verify_sweep_bracket_count_is_pinned(monkeypatch):
         verify_all(spec, 1, 2)
     assert len(calls) == 5843
     assert len(classes) == 435
+
+
+def test_verify_sweep_zero_brackets_and_checks_are_pinned(monkeypatch):
+    # of the 5,843 brackets of a window-1 sweep from cleared caches, 4,197
+    # are zero, each the algebra's shared zero; every image, every
+    # nonzero bracket and each algebra's zero is checked fixed once,
+    # 1,948 checks in all
+    from torlie import toroidal
+
+    zeros, checks = [], []
+    bracket = presentation.toroidal_bracket
+    validate = ToroidalElem.validate_twisted
+
+    def counted(x, y):
+        out = bracket(x, y)
+        if not out.coords:
+            zeros.append(out is ToroidalElem.zero(out.alg))
+        return out
+
+    def counted_check(self):
+        checks.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(presentation, "toroidal_bracket", counted)
+    monkeypatch.setattr(ToroidalElem, "validate_twisted", counted_check)
+    for cache in (presentation._inner_bracket, psi_image, toroidal._zero):
+        cache.cache_clear()
+    for spec in TWISTED_SPECS + UNTWISTED_SPECS:
+        verify_all(spec, 1, 2)
+    assert len(zeros) == 4197 and all(zeros)
+    assert len(checks) == 1948
+    empty = [x for x in checks if not x.coords]
+    assert len(empty) == 7 and all(x is ToroidalElem.zero(x.alg) for x in empty)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from torlie.toroidal import (
     _sigma_coords,
     fix_project,
     loop_bracket,
+    orbit_sum,
     sigma_bar,
     toroidal_bracket,
 )
@@ -120,6 +121,36 @@ def test_fix_project_properties(spec):
                 acc = acc + cur * omega_pow(spec.r, -j * k)
             total = total + acc * Fraction(1, spec.r)
         assert total == x
+
+
+def _sigma_bar_orbit(x, count):
+    """sum over u < count of sigma_bar^u(x), one sigma_bar and one sum at
+    a time."""
+    acc = cur = x
+    for _ in range(count - 1):
+        cur = sigma_bar(cur)
+        acc = acc + cur
+    return acc
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("A", 2, 1), A5, D4_TRIALITY],
+                         ids=lambda s: f"{s.name} r={s.r}")
+def test_orbit_sum_and_fix_project_match_a_sigma_bar_loop(spec):
+    alg = get_algebra(spec)
+    r = spec.r
+    rng = random.Random(59 + spec.N + spec.r)
+    fractional = 0
+    for _ in range(20):
+        x = _omega_loop(alg, rng)
+        fractional += x.den != 1
+        for count in range(1, r + 1):
+            got = orbit_sum(x, count)
+            assert got == _sigma_bar_orbit(x, count)
+            _assert_canonical(got)
+        got = fix_project(x)
+        assert got == _sigma_bar_orbit(x, r).divided(r)
+        _assert_canonical(got)
+    assert fractional > 10
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +484,43 @@ def test_fractional_bracket_is_checked_for_fixedness(spec, monkeypatch):
     monkeypatch.setitem(alg._sigma, b0, (image, -sign))
     with pytest.raises(ValueError, match="not fixed by the twisted automorphism"):
         toroidal_bracket(x, y)
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("A", 2, 1), A5, D4_TRIALITY],
+                         ids=lambda s: f"{s.name} r={s.r}")
+def test_brackets_without_terms_are_the_shared_zero(spec):
+    alg = get_algebra(spec)
+    zero = ToroidalElem.zero(alg)
+    assert zero.twisted and not zero.coords and zero is ToroidalElem.zero(alg)
+    e1 = psi_image(GenSym("x+", 1, 0), spec)
+    a1 = psi_image(GenSym("a", 1, 0), spec)
+    x = e1 + psi_image(GenSym("x-", 1, 0), spec)
+    c = psi_image(GenSym("c"), spec)
+    untwisted = ToroidalElem(LoopElem.from_lie(alg.h(1), 1, 0))
+    # (a) the supports meet no structure constant and no pairing
+    assert alg.graded_terms(_by_basis(e1), _by_basis(e1)) == ({}, {})
+    # (b) terms met, and cancel: the bracket of [e, f] + [f, e], the form
+    # sum of a degree pair against a zero Kahler class
+    assert alg.graded_terms(_by_basis(x), _by_basis(x))[0]
+    assert alg.graded_terms(_by_basis(a1), _by_basis(a1))[1]
+    # one shared zero per twisted flag
+    shared = {True: zero, False: toroidal_bracket(c, untwisted)}
+    assert shared[False] is not zero and not shared[False].twisted
+    # (a), (b), then (c) a central-only operand, and untwisted operands
+    pairs = [(e1, e1), (x, x), (a1, a1), (c, e1), (a1, c), (c, c),
+             (untwisted, c), (c, untwisted), (untwisted, untwisted)]
+    for u, v in pairs:
+        got = toroidal_bracket(u, v)
+        assert got == zero
+        assert got.twisted == (u.twisted and v.twisted)
+        assert got is shared[got.twisted]
+        with pytest.raises(AttributeError):
+            got.twisted = not got.twisted
+        with pytest.raises(AttributeError):
+            got.coords = {(0, 0, 0): (1, 0)}
+        with pytest.raises(TypeError):
+            got.coords[(0, 0, 0)] = (1, 0)
+    assert zero.twisted and not zero.coords and zero.den == 1
 
 
 def test_twisted_validation():
