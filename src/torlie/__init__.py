@@ -8,7 +8,6 @@ from .presentation import (
     RelationId,
     RelationReport,
     enumerate_cases,
-    pibar_image,
     proof_cases,
     psi_image,
     relation_sides,
@@ -42,7 +41,7 @@ __all__ = [
     "RelationId", "RelationReport", "ToroidalElem", "build_cartan",
     "enumerate_cases", "enumerate_roots", "fix_project",
     "folded_simple_roots", "get_algebra", "highest_root", "loop_bracket",
-    "omega_pow", "pibar_image", "proof_cases", "psi_image", "reduce_b_da",
+    "omega_pow", "proof_cases", "psi_image", "reduce_b_da",
     "relation_sides", "root_form", "sigma_bar", "sigma_root",
     "span_check", "toroidal_bracket", "verify_all",
 ]

@@ -5,8 +5,8 @@ representing a + b*w with w = exp(2*pi*i/r).  For r = 1 and r = 2 the
 basis is {1} (w collapses to 1 and -1 respectively); for r = 3 the basis
 is {1, w} and products reduce through the minimal polynomial
 w**2 = -1 - w (`omega_product`).  A coordinate is an `int` while it is
-integral and a `fractions.Fraction` only when it is not; division goes
-through `Fraction`, and a float or any other inexact value is refused.
+integral and a `fractions.Fraction` only when it is not, and a float or
+any other inexact value is refused.
 So arithmetic is exact at arbitrary precision, and the integral values
 that make up almost every coefficient cost int arithmetic only.
 
@@ -154,43 +154,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycNum":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        a, b = self.a, self.b
-        if not b:  # 1/a in any order, through Fraction: 1 / int is a float
-            return CycNum(self.order, Fraction(1) / a)
-        # conj(a + b w) = (a - b) - b w;  norm = a^2 - a b + b^2
-        norm = Fraction(a * a - a * b + b * b)
-        return CycNum(3, (a - b) / norm, -b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int) -> "CycNum":
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        out = CycNum.one(self.order)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparison / display ----------------------------------------
 
     def __eq__(self, other):
@@ -238,9 +201,12 @@ def omega_product(a1, b1, a2, b2) -> tuple:
     return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
 
 
-# w**e for e = 0..r-1, per order; CycNum is immutable, so they are shared
+# w**e for e = 0..r-1, per order, as coordinates: w = -1 at r = 2 and
+# w**2 = -1 - w at r = 3; CycNum is immutable, so they are shared
 _OMEGA_POWERS = {
-    order: tuple(CycNum.omega(order) ** e for e in range(order)) for order in _ORDERS
+    1: (CycNum(1, 1),),
+    2: (CycNum(2, 1), CycNum(2, -1)),
+    3: (CycNum(3, 1), CycNum(3, 0, 1), CycNum(3, -1, -1)),
 }
 
 
@@ -420,13 +386,6 @@ class SparseTerms:
         return self._sibling(*canonical(coords, self.den * q))
 
     __mul__ = __rmul__ = scale
-
-    def divided(self, d: int):
-        """This element divided by the nonzero int d."""
-        if not d:
-            raise ZeroDivisionError("element divided by zero")
-        return self._sibling(*canonical(times(self.coords, -1 if d < 0 else 1),
-                                        self.den * abs(d)))
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -49,8 +49,8 @@ class LieElem(AlgebraTerms):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, alg: "LieAlgebra", index: int, coeff=1) -> "LieElem":
-        return cls(alg, {index: alg.scalar(coeff)})
+    def basis(cls, alg: "LieAlgebra", index: int) -> "LieElem":
+        return cls._of(alg, {index: (1, 0)}, 1)
 
     def __hash__(self):
         return hash((id(self.alg), self.den, frozenset(self.coords.items())))
@@ -186,9 +186,6 @@ class LieAlgebra:
         return CycNum(self.spec.r, value)
 
     # -- basis bookkeeping ----------------------------------------------
-
-    def zero(self) -> LieElem:
-        return LieElem(self, {})
 
     def h(self, i: int) -> LieElem:
         if not 1 <= i <= self.N:
@@ -327,18 +324,15 @@ class LieAlgebra:
         return rows + tuple({N + rj: 1} for rj in self._neg)
 
     def form(self, x: LieElem, y: LieElem) -> CycNum:
+        """The invariant form (x|y): the degree-0 pairing of x and y in the
+        one loop over form entries (`graded_terms`), whose bracket is
+        dropped."""
         if x.alg is not self or y.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        a, b = self.form_terms(x.coords, y.coords)
+        xs, ys = ({b: ((0, 0, a, w),) for b, (a, w) in v.coords.items()} for v in (x, y))
+        a, b = self.graded_terms(xs, ys)[1].get((0, 0, 0, 0), (0, 0))
         d = x.den * y.den
         return CycNum(self.spec.r, Fraction(a, d), Fraction(b, d))
-
-    def form_terms(self, xs, ys) -> tuple:
-        """The invariant form of the coordinate maps xs and ys, as the
-        coordinates (a, b) of a + b w: their degree-0 pairing in the one
-        loop over form entries (`graded_terms`), whose bracket is dropped."""
-        xs, ys = ({b: ((0, 0, a, w),) for b, (a, w) in cs.items()} for cs in (xs, ys))
-        return self.graded_terms(xs, ys)[1].get((0, 0, 0, 0), (0, 0))
 
     def graded_terms(self, xs, ys) -> tuple:
         """(coords, pairings) of two loop elements grouped by basis index,

@@ -121,11 +121,6 @@ def psi_image(gen: GenSym, spec: AlgebraSpec) -> ToroidalElem:
     return ToroidalElem(loop, central, twisted=True)
 
 
-def pibar_image(gen: GenSym, spec: AlgebraSpec) -> LoopElem:
-    """Loop-algebra image: identical to psi_image minus the central part."""
-    return psi_image(gen, spec).loop
-
-
 # ---------------------------------------------------------------------------
 # relation catalog
 # ---------------------------------------------------------------------------
@@ -677,7 +672,7 @@ def span_check(spec: AlgebraSpec, j_window: int = 2, m_window: int = 1,
                 gens += 1
                 # an image is homogeneous, in slice (k, 0) or (k, +-1); its
                 # integer coordinates span what its value spans
-                coords = pibar_image(gen, spec).coords
+                coords = psi_image(gen, spec).loop.coords
                 (key,) = {(j, m) for _, j, m in coords}
                 absorb(key, {b: ab for (b, _, _), ab in coords.items()})
 

@@ -125,7 +125,7 @@ def _edges(spec: AlgebraSpec):
         return [(1, 2), (2, 3), (2, 4)]
     # D_{n+1}: chain 1..n-1, with node n-1 forking to n and n+1
     chain = [(i, i + 1) for i in range(1, n - 1)]
-    return chain + [(n - 1, n), (n - 1, n + 1)] if n >= 2 else chain
+    return chain + [(n - 1, n), (n - 1, n + 1)]
 
 
 def _sigma_perm(spec: AlgebraSpec) -> tuple:
@@ -196,9 +196,10 @@ def _form(A, a, b):
     return total
 
 
-def root_form(a, b, spec: AlgebraSpec) -> Fraction:
-    """Invariant bilinear form of two coordinate vectors, (alpha|alpha)=2."""
-    return Fraction(_form(build_cartan(spec).A_prime, a, b))
+def root_form(a, b, spec: AlgebraSpec):
+    """Invariant bilinear form of two coordinate vectors, (alpha|alpha)=2:
+    an int for int coordinates, a Fraction for Fraction ones."""
+    return _form(build_cartan(spec).A_prime, a, b)
 
 
 def _positive_roots(A) -> frozenset:

@@ -34,10 +34,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from types import MappingProxyType
 
 from .coeff import AlgebraTerms, canonical, times
-from .coeff import _set_alg, _set_coords, _set_den, _set_elem_order
 # not called here (`_sigma_coords` rotates coordinates itself), but
 # bench/selftest.py checks that the span recorder rebinds toroidal.omega_pow
 from .coeff import omega_pow  # noqa: F401
@@ -230,11 +228,7 @@ class ToroidalElem(AlgebraTerms):
     @classmethod
     def _of(cls, alg, coords: dict, den: int, twisted: bool = False):
         """The element coords/den of `alg`, for canonical coordinates."""
-        out = object.__new__(cls)
-        _set_coords(out, MappingProxyType(coords))
-        _set_den(out, den)
-        _set_elem_order(out, alg.spec.r)
-        _set_alg(out, alg)
+        out = super()._of(alg, coords, den)
         _set_twisted(out, twisted)
         return out
 

@@ -12,6 +12,13 @@ import pytest
 from torlie import cli
 
 
+def test_every_public_export_resolves():
+    # a name removed from the package must leave __all__ too
+    import torlie
+
+    assert [name for name in torlie.__all__ if not hasattr(torlie, name)] == []
+
+
 def run(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()

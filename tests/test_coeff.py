@@ -44,18 +44,6 @@ def test_mul_order_two():
     assert w * w == CycNum.one(2)
 
 
-def test_pow_examples():
-    w3 = CycNum.omega(3)
-    assert w3 ** -2 == w3
-    assert w3 ** 6 == CycNum.one(3)
-    assert CycNum.omega(2) ** 5 == CycNum(2, -1)
-
-
-def test_zero_negative_power_rejected():
-    with pytest.raises(ZeroDivisionError):
-        CycNum.zero(3) ** -1
-
-
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         CycNum.one(2) + CycNum.one(3)
@@ -63,8 +51,7 @@ def test_order_mismatch_rejected():
         CycNum.one(1) * CycNum.omega(3)
 
 
-@pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__", "__mul__",
-                                    "__truediv__", "__eq__"])
+@pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__", "__mul__", "__eq__"])
 @pytest.mark.parametrize("orders", [(1, 2), (2, 3), (3, 1)])
 def test_each_operation_refuses_a_foreign_order(method, orders):
     x, y = (CycNum(order, 2, 1) for order in orders)
@@ -137,17 +124,21 @@ def test_field_axioms(order, data):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    if b:
-        assert b * b.inverse() == CycNum.one(order)
-        assert (a / b) * b == a
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-@given(k=st.integers(min_value=-30, max_value=30))
-def test_omega_power_periodic(order, k):
+def test_omega_power_periodic(order):
+    # the literal table against the |k|-fold product of w, or of
+    # w^(r-1) = w^-1 for k < 0
     w = CycNum.omega(order)
-    assert w ** k == w ** (k % order)
-    assert omega_pow(order, k) == w ** k
+    w_inverse = CycNum.one(order)
+    for _ in range(order - 1):
+        w_inverse = w_inverse * w
+    for k in range(-30, 31):
+        want = CycNum.one(order)
+        for _ in range(abs(k)):
+            want = want * (w if k > 0 else w_inverse)
+        assert omega_pow(order, k) == want
 
 
 def test_equality_refuses_order_mismatch():
@@ -168,8 +159,6 @@ def test_integral_coordinates_are_ints():
     # the basis collapse of r = 1, 2 sums two halves into an integer
     assert type(CycNum(2, Fraction(1, 2), Fraction(-1, 2)).a) is int
     assert type(CycNum(3, True, False).a) is int
-    assert CycNum(2, 3).inverse() == CycNum(2, Fraction(1, 3))
-    assert type((CycNum(3, 2) / 2).a) is int
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, "1/3", "1", None, complex(1)])
@@ -200,25 +189,6 @@ def _ref_mul(order, x, y):
     return _ref_canonical(order, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
 
 
-def _ref_inverse(order, x):
-    # solve x * (p + q w) = 1 by Cramer's rule on the matrix of
-    # multiplication by x, whose columns are x * 1 and x * w
-    c1 = _ref_mul(order, x, _ref_canonical(order, 1, 0))
-    if order < 3:
-        return (1 / c1[0], Fraction(0))
-    c2 = _ref_mul(order, x, (Fraction(0), Fraction(1)))
-    det = c1[0] * c2[1] - c2[0] * c1[1]
-    return (c2[1] / det, -c1[1] / det)
-
-
-def _ref_pow(order, x, k):
-    base = _ref_inverse(order, x) if k < 0 else x
-    out = _ref_canonical(order, 1, 0)
-    for _ in range(abs(k)):
-        out = _ref_mul(order, out, base)
-    return out
-
-
 def _assert_canonical(x):
     for v in (x.a, x.b):
         assert type(v) in (int, Fraction)  # never a float, nor a bool
@@ -243,7 +213,6 @@ def test_scalar_layer_matches_fraction_reference(order, data):
     # the second operand may also be a plain int or Fraction
     plain = data.draw(st.booleans())
     other, rother = (a2, _ref_canonical(order, a2, 0)) if plain else (y, ry)
-    k = data.draw(st.integers(min_value=-4, max_value=4))
 
     results = [
         (x, rx),
@@ -255,15 +224,6 @@ def test_scalar_layer_matches_fraction_reference(order, data):
         (x * other, _ref_mul(order, rx, rother)),
         (other * x, _ref_mul(order, rx, rother)),
     ]
-    if any(rother):
-        results.append((x / other, _ref_mul(order, rx, _ref_inverse(order, rother))))
-    if any(rx):
-        results += [
-            (x.inverse(), _ref_inverse(order, rx)),
-            (other / x, _ref_mul(order, rother, _ref_inverse(order, rx))),
-        ]
-    if any(rx) or k >= 0:
-        results.append((x ** k, _ref_pow(order, rx, k)))
     for got, want in results:
         _assert_canonical(got)
         assert (got.a, got.b) == want

@@ -148,7 +148,7 @@ def test_orbit_sum_and_fix_project_match_a_sigma_bar_loop(spec):
             assert got == _sigma_bar_orbit(x, count)
             _assert_canonical(got)
         got = fix_project(x)
-        assert got == _sigma_bar_orbit(x, r).divided(r)
+        assert got == _sigma_bar_orbit(x, r).scale(Fraction(1, r))
         _assert_canonical(got)
     assert fractional > 10
 
@@ -226,7 +226,7 @@ def test_brackets_call_no_kernel_per_pair_of_degree_components(spec, monkeypatch
     def refuse(*args):
         raise AssertionError("a bracket called a kernel of g")
 
-    for method in ("bracket_terms", "form_terms"):
+    for method in ("bracket_terms", "form"):
         monkeypatch.setattr(type(alg), method, refuse)
     for (x, y), (want, want_loop) in zip(pairs, wants):
         assert toroidal_bracket(x, y) == want and loop_bracket(x, y) == want_loop
@@ -274,7 +274,7 @@ def _reference_fix_project(x):
     terms, cur = {}, x
     for _ in range(r):
         for key, c in cur.terms.items():
-            _accumulate(terms, key, c / r)
+            _accumulate(terms, key, c * Fraction(1, r))
         cur = LoopElem(x.alg, _reference_sigma_bar(cur))
     return _nonzero(terms)
 
@@ -343,7 +343,7 @@ def test_linear_operations_match_cycnum_reference(spec):
         for c in scalars:
             assert x.scale(c).terms == _nonzero({k: v * c for k, v in x.terms.items()})
         for d in (2, -3, 6):
-            assert x.divided(d).terms == {k: v / d for k, v in x.terms.items()}
+            assert x.scale(Fraction(1, d)).terms == {k: v * Fraction(1, d) for k, v in x.terms.items()}
         assert sigma_bar(raw).terms == _reference_sigma_bar(raw)
         assert fix_project(raw).terms == _reference_fix_project(raw)
     assert fractional > 20
@@ -367,9 +367,9 @@ def test_elements_stay_canonical_and_immutable(spec):
     for _ in range(15):
         x, y = rand_fixed(alg, rng), rand_fixed(alg, rng)
         outputs += [x + y, x - y, x - x, x.scale(Fraction(2, 3)), x.scale(0),
-                    x.divided(6), x.divided(-4), toroidal_bracket(x, y),
+                    x.scale(Fraction(1, 6)), x.scale(Fraction(-1, 4)), toroidal_bracket(x, y),
                     toroidal_bracket(x, x), fix_project(rand_loop(alg, rng)),
-                    fix_project(x.loop).divided(5)]
+                    fix_project(x.loop).scale(Fraction(1, 5))]
     zeros = 0
     for z in outputs:
         _assert_canonical(z)
@@ -381,7 +381,7 @@ def test_elements_stay_canonical_and_immutable(spec):
             if type(z) is type(w):
                 assert (z == w) == (z.terms == w.terms)
     x = outputs[0]
-    assert x == x.scale(3).divided(3) and x.divided(4) == x.scale(Fraction(1, 4))
+    assert x == x.scale(3).scale(Fraction(1, 3)) == x.scale(Fraction(1, 4)).scale(4)
     # the coordinate view is read-only, and no slot can be rebound
     key = next(iter(x.coords))
     with pytest.raises(TypeError):
@@ -400,7 +400,7 @@ def test_elements_stay_canonical_and_immutable(spec):
     other = psi_image(GenSym("x-", 1, 0), spec)
     for _ in range(2):
         toroidal_bracket(image, other), toroidal_bracket(other, image)
-        image + other, image - other, -image, image.scale(3), image.divided(2)
+        image + other, image - other, -image, image.scale(3), image.scale(Fraction(1, 2))
     # the grouping by basis index is computed once and shared
     assert _by_basis(image) is _by_basis(image) is grouping
     assert image.render() == before and psi_image(GenSym("x+", 1, 1), spec) is image
@@ -444,7 +444,7 @@ def test_scaled_by_den_and_divided_keep_value_and_flag():
     assert big.twisted and big.den == 1
     assert big.terms == {k: v * d for k, v in x.terms.items()}
     assert all(type(v) is int for v in _coordinates(big))
-    back = big.divided(d)
+    back = big.scale(Fraction(1, d))
     assert back.twisted and back.terms == x.terms
     assert all(type(v) is int or v.denominator != 1 for v in _coordinates(back))
 
